@@ -5,25 +5,22 @@ holding rotation-text, graph6 or planar code; the format is detected
 automatically unless ``--format`` overrides it.
 
 Exit codes: 0 when a verdict was computed, 1 when a counterexample or
-violation was found, 2 on input errors or when an exhaustive request
-exceeds its budget.
+violation was found, 2 on input errors, when an exhaustive request
+exceeds its budget, or when ``extend`` would give a vacuous verdict.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import Optional
 
 from . import io as gio
-from .cover import (CoverError, cover_graph, diagonal_cover,
-                    enumerate_covers, full_cover, random_chooser)
+from .cover import CoverError, cover_graph, diagonal_cover
 from .discharging import RULESETS, audit
 from .plane_graph import PlaneGraphError, enumerate_cycles
-from .solver import (BudgetExceeded, InconsistentPrecoloring, Precoloring,
-                     dp_chromatic, extend_precoloring, find_transversal,
-                     list_chromatic)
+from .solver import (BudgetExceeded, Precoloring, _extension_counts,
+                     dp_chromatic, find_transversal, list_chromatic)
 from .structure import (class_membership, classify_vertices_and_faces,
                         find_triangle_patches, verify_structural_lemmas)
 
@@ -122,25 +119,22 @@ def cmd_extend(args) -> int:
     colors = [int(t) for t in args.colors.split(",")]
     if len(cycle) != len(colors):
         raise gio.DocumentSyntaxError("cycle and colors differ in length")
+    if not all(0 <= v < g.vertex_count for v in cycle):
+        raise ValueError(f"cycle vertices must lie in 0..{g.vertex_count - 1}")
+    if not all(1 <= c <= args.k for c in colors):
+        raise ValueError(f"colors must lie in 1..{args.k}")
     pre = Precoloring.of(dict(zip(cycle, colors)))
+    checked, valid, failures = _extension_counts(g, pre, args.k, args.samples,
+                                                 args.seed)
     if args.samples:
-        rng = random.Random(args.seed)
-        covers = (full_cover(g, args.k, random_chooser(rng.randrange(2 ** 32)))
-                  for _ in range(args.samples))
         note = f"mode=sampled samples={args.samples} seed={args.seed}"
     else:
-        covers = enumerate_covers(g, args.k)
         note = "mode=exhaustive"
-    checked = valid = failures = 0
-    for cover in covers:
-        checked += 1
-        try:
-            t = extend_precoloring(g, cover, pre)
-        except InconsistentPrecoloring:
-            continue  # not a valid precoloring under this cover
-        valid += 1
-        if t is None:
-            failures += 1
+    if not valid:
+        print(f"error: covers={checked} valid-for-precoloring=0 ({note}): "
+              "the precoloring is valid under no cover, so the result is "
+              "vacuous", file=sys.stderr)
+        return 2
     print(f"covers={checked} valid-for-precoloring={valid} "
           f"failures={failures} ({note})")
     return 1 if failures else 0

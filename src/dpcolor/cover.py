@@ -9,7 +9,9 @@ vertex, independent) is exactly a coloring under the correspondence.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -95,13 +97,16 @@ class CoverGraph:
     clique and every matched pair is a cross edge.
     """
 
-    __slots__ = ("groups", "cross", "graph_edges")
+    __slots__ = ("groups", "matchings", "graph_edges")
 
     def __init__(self, groups: tuple[tuple[int, ...], ...],
                  cross: Mapping[tuple[int, int], PairList]):
         self.groups = groups
-        self.cross = dict(cross)
-        self.graph_edges = tuple(sorted(self.cross))
+        self.matchings = dict(cross)
+        self.graph_edges = tuple(sorted(self.matchings))
+
+    matching = Cover.matching
+    matched_color = Cover.matched_color
 
     @property
     def vertex_count(self) -> int:
@@ -109,26 +114,6 @@ class CoverGraph:
 
     def color_vertices(self) -> list[tuple[int, int]]:
         return [(v, c) for v, colors in enumerate(self.groups) for c in colors]
-
-    def matching(self, u: int, v: int) -> PairList:
-        if u < v:
-            return self.cross.get((u, v), ())
-        return tuple((b, a) for a, b in self.cross.get((v, u), ()))
-
-    def matched_color(self, u: int, cu: int, v: int) -> Optional[int]:
-        for a, b in self.matching(u, v):
-            if a == cu:
-                return b
-        return None
-
-    def neighbors_of_group(self, v: int) -> list[int]:
-        out = set()
-        for a, b in self.graph_edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return sorted(out)
 
     def has_edge(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
         (u, cu), (v, cv) = x, y
@@ -142,7 +127,7 @@ class CoverGraph:
         for v, colors in enumerate(self.groups):
             for c1, c2 in itertools.combinations(colors, 2):
                 out.append(((v, c1), (v, c2)))
-        for (u, v), pairs in sorted(self.cross.items()):
+        for (u, v), pairs in sorted(self.matchings.items()):
             for cu, cv in pairs:
                 out.append(((u, cu), (v, cv)))
         return out
@@ -236,7 +221,7 @@ def table_chooser(table: Mapping[tuple[int, int], Sequence[int]]
 def _perm_pairs(perm: Sequence[int], k: int) -> PairList:
     if sorted(perm) != list(range(1, k + 1)):
         raise BadPermutation(f"{tuple(perm)} is not a bijection on 1..{k}")
-    return tuple((c, perm[c - 1]) for c in range(1, k + 1))
+    return _pairs_of(tuple(perm))
 
 
 def full_cover(g: PlaneGraph, k: int,
@@ -270,6 +255,119 @@ def bfs_tree_edges(g: PlaneGraph, root: int = 0) -> list[tuple[int, int]]:
     return tree
 
 
+def _conjugate(p: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """sigma o p o sigma^{-1}, all permutations of 1..k as image tuples."""
+    k = len(p)
+    q = [0] * k
+    for c in range(1, k + 1):
+        q[sigma[c - 1] - 1] = sigma[p[c - 1] - 1]
+    return tuple(q)
+
+
+class _CoverSweep:
+    """The stream of covers with lists 1..k and permutation matchings.
+
+    Every item holds one permutation of 1..k per edge of ``g.edges()``, as
+    an image tuple (color c of the smaller endpoint is matched with
+    ``perm[c - 1]``).  Modes:
+
+    * ``"full"``: identity on the BFS spanning tree and every permutation
+      on each non-tree edge, (k!)**(|E|-|V|+1) covers.
+    * ``"canonical"``: the full stream less covers equivalent under renaming
+      all lists by one common permutation (``canonical_tuples`` keeps one
+      representative per orbit).  Such a renaming maps transversals and
+      valid precolorings bijectively, so colorability sweeps may quantify
+      over representatives.
+    * ``"sampled"``: ``samples`` seeded random covers, exactly those of
+      ``full_cover(g, k, random_chooser(rng.randrange(2 ** 32)))`` with
+      ``rng = random.Random(seed)``.
+    """
+
+    def __init__(self, g: PlaneGraph, k: int):
+        self.g = g
+        self.k = k
+        self.edges = g.edges()
+        tree = set(bfs_tree_edges(g))
+        self.non_tree = [i for i, e in enumerate(self.edges) if e not in tree]
+
+    @functools.cached_property
+    def perms(self) -> list[tuple[int, ...]]:
+        return list(itertools.permutations(range(1, self.k + 1)))
+
+    @property
+    def total_covers(self) -> int:
+        """Size of the full stream, which bounds the canonical one."""
+        return math.factorial(self.k) ** len(self.non_tree)
+
+    def canonical_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """One non-tree permutation tuple per common-renaming orbit."""
+        conj = {(s, p): _conjugate(p, s) for s in self.perms for p in self.perms}
+        sigmas = [s for s in self.perms
+                  if any(conj[(s, p)] != p for p in self.perms)]
+        m = len(self.non_tree)
+        prefix: list[tuple[int, ...]] = []
+
+        def rec(active: list[tuple[int, ...]]
+                ) -> Iterator[tuple[tuple[int, ...], ...]]:
+            if len(prefix) == m:
+                yield tuple(prefix)
+                return
+            for p in self.perms:
+                nxt = []
+                smaller = False
+                for s in active:
+                    q = conj[(s, p)]
+                    if q < p:
+                        smaller = True
+                        break
+                    if q == p:
+                        nxt.append(s)
+                if smaller:
+                    continue
+                prefix.append(p)
+                yield from rec(nxt)
+                prefix.pop()
+
+        yield from rec(sigmas)
+
+    def all_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every non-tree permutation tuple."""
+        return itertools.product(self.perms, repeat=len(self.non_tree))
+
+    def stream(self, mode: str, samples: int = 0, seed: int = 0
+               ) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Per-edge permutation tuples of the given mode."""
+        k = self.k
+        if mode == "sampled":
+            rng = random.Random(seed)
+            for _ in range(samples):
+                choose = random_chooser(rng.randrange(2 ** 32))
+                yield tuple(choose(u, v, k) for u, v in self.edges)
+            return
+        if mode == "canonical":
+            tuples = self.canonical_tuples()
+        elif mode == "full":
+            tuples = self.all_tuples()
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        perms = [tuple(range(1, k + 1))] * len(self.edges)
+        for t in tuples:
+            for i, p in zip(self.non_tree, t):
+                perms[i] = p
+            yield tuple(perms)
+
+    def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
+        colors = tuple(range(1, self.k + 1))
+        return Cover((colors,) * self.g.vertex_count,
+                     {e: _pairs_of(p) for e, p in zip(self.edges, perms)})
+
+
+@functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
+def _pairs_of(perm: tuple[int, ...]) -> PairList:
+    """Matched pairs of a permutation; shared, as sweeps keep many covers."""
+    return tuple(zip(range(1, len(perm) + 1), perm))
+
+
 def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
     """Canonical covers: identity on a spanning tree, all else enumerated.
 
@@ -284,17 +382,8 @@ def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
     """
     if k < 1:
         raise CoverError("k must be at least 1")
-    tree = set(bfs_tree_edges(g))
-    lists = tuple(tuple(range(1, k + 1)) for _ in range(g.vertex_count))
-    identity = tuple((c, c) for c in range(1, k + 1))
-    non_tree = [e for e in g.edges() if e not in tree]
-    perms = list(itertools.permutations(range(1, k + 1)))
-    base = {e: identity for e in tree}
-    for assignment in itertools.product(perms, repeat=len(non_tree)):
-        matchings = dict(base)
-        for e, perm in zip(non_tree, assignment):
-            matchings[e] = tuple((c, perm[c - 1]) for c in range(1, k + 1))
-        yield Cover(lists, matchings)
+    sweep = _CoverSweep(g, k)
+    return map(sweep.cover_from, sweep.stream("full"))
 
 
 def cover_graph(g: PlaneGraph, cover: Cover) -> CoverGraph:

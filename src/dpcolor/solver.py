@@ -1,23 +1,24 @@
 """Search: transversals of cover graphs, precoloring extension, and the
 three chromatic numbers at desk scale.
 
-Everything here is exact.  The exhaustive modes quantify over the
-relabeling-reduced cover stream (see :func:`dpcolor.cover.enumerate_covers`)
-and additionally skip covers equivalent under renaming all lists by one
-common permutation, which changes no verdict: such a renaming maps
-transversals to transversals bijectively.
+Everything here is exact, and every question runs on one search kernel,
+:func:`_search`: an explicit-stack backtracking loop over positions in a
+fixed order, with color bitmasks and per-edge translation tables.  The
+exhaustive modes quantify over the canonical stream of
+:class:`dpcolor.cover._CoverSweep`, which skips covers equivalent under
+renaming all lists by one common permutation; that changes no verdict,
+since such a renaming maps transversals to transversals bijectively.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
-import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cover import (Cover, CoverGraph, bfs_tree_edges, cover_graph,
-                    full_cover, random_chooser)
+from .cover import Cover, CoverGraph, _CoverSweep, cover_graph
 from .plane_graph import PlaneGraph
 
 DEFAULT_COVER_BUDGET = 10_000_000
@@ -76,127 +77,137 @@ class ColorabilityVerdict:
     seed: Optional[int] = None
 
 
-# -- fast search core --------------------------------------------------------
+# -- the search kernel --------------------------------------------------------
 
 
-class _Instance:
-    """Backtracking-ready form of a cover graph.
+def _search(domains: Sequence[int],
+            constraints: Sequence[Sequence[Sequence]],
+            counter: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
+    """Every choice of one color per position, in ascending color order.
 
-    Vertices are visited in smallest-last (degeneracy) order; each position
-    stores, for every earlier neighbor, the map from that neighbor's chosen
-    color index to the forbidden index here (-1 when unmatched).
+    ``domains[i]`` is the bitmask of the colors open at position i (a
+    single bit fixes it).  ``constraints[i]`` holds pairs (j, table) with
+    j < i: when position j takes color c, ``table[c]`` is the bitmask of
+    colors it bans at position i, 0 when c is unmatched.  Only the first
+    ``len(domains)`` positions are searched, so a prefix of ``constraints``
+    serves as well.  Solutions are tuples of color indices (bit numbers),
+    yielded lexicographically.  ``counter``, a one-element list, loses one
+    per color tried; BudgetExceeded is raised when it drops below zero.
+    An explicit stack keeps the depth free of the recursion limit.
     """
-
-    __slots__ = ("order", "colors", "constraints", "fixed")
-
-    def __init__(self, groups: Sequence[Sequence[int]],
-                 matching_of, edges: Iterable[tuple[int, int]],
-                 fixed: Optional[Mapping[int, int]] = None):
-        n = len(groups)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.order = _degeneracy_order(n, adj)
-        pos = {v: i for i, v in enumerate(self.order)}
-        self.colors = [tuple(sorted(groups[v])) for v in range(n)]
-        index_of = [{c: i for i, c in enumerate(cs)} for cs in self.colors]
-        fixed = dict(fixed or {})
-        self.fixed = {v: index_of[v][c] for v, c in fixed.items()}
-        # constraints[i]: list of (earlier position, map array)
-        self.constraints: list[list[tuple[int, tuple[int, ...]]]] = [
-            [] for _ in range(n)]
-        for i, v in enumerate(self.order):
-            for u in adj[v]:
-                if pos[u] >= i:
-                    continue
-                table = [-1] * len(self.colors[u])
-                for cu, cv in matching_of(u, v):
-                    iu = index_of[u].get(cu)
-                    iv = index_of[v].get(cv)
-                    if iu is not None and iv is not None:
-                        table[iu] = iv
-                self.constraints[i].append((pos[u], tuple(table)))
-
-    def solve(self) -> Optional[tuple[int, ...]]:
-        """First transversal in (degeneracy order, ascending color) order."""
-        n = len(self.order)
-        chosen = [-1] * n
-        sizes = [len(self.colors[v]) for v in self.order]
-        fixed_at = {}
-        for v, idx in self.fixed.items():
-            fixed_at[self.order.index(v)] = idx
-
-        def rec(i: int) -> bool:
-            if i == n:
-                return True
-            banned = 0
-            for j, table in self.constraints[i]:
-                t = table[chosen[j]]
-                if t >= 0:
-                    banned |= 1 << t
-            if i in fixed_at:
-                idx = fixed_at[i]
-                if banned >> idx & 1:
-                    return False
-                chosen[i] = idx
-                if rec(i + 1):
-                    return True
-                chosen[i] = -1
-                return False
-            for idx in range(sizes[i]):
-                if banned >> idx & 1:
-                    continue
-                chosen[i] = idx
-                if rec(i + 1):
-                    return True
-            chosen[i] = -1
-            return False
-
-        if not rec(0):
-            return None
-        out = [0] * n
-        for i, v in enumerate(self.order):
-            out[v] = self.colors[v][chosen[i]]
-        return tuple(out)
+    n = len(domains)
+    if n == 0:
+        yield ()
+        return
+    chosen = [0] * n
+    avail = [0] * n
+    avail[0] = domains[0]
+    i = 0
+    while i >= 0:
+        a = avail[i]
+        if not a:
+            i -= 1
+            continue
+        low = a & -a
+        avail[i] = a ^ low
+        chosen[i] = low.bit_length() - 1
+        if counter is not None:
+            counter[0] -= 1
+            if counter[0] < 0:
+                raise BudgetExceeded("search node budget exhausted")
+        if i + 1 == n:
+            yield tuple(chosen)
+            continue
+        i += 1
+        banned = 0
+        for j, table in constraints[i]:
+            banned |= table[chosen[j]]
+        avail[i] = domains[i] & ~banned
 
 
 def _degeneracy_order(n: int, adj: Sequence[set[int]]) -> list[int]:
-    """Smallest-last order: repeatedly peel a minimum-degree vertex."""
+    """Smallest-last order: repeatedly peel the vertex of least (degree, index)."""
     degree = [len(adj[v]) for v in range(n)]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
     removed = [False] * n
     peeled: list[int] = []
-    for _ in range(n):
-        v = min((x for x in range(n) if not removed[x]),
-                key=lambda x: (degree[x], x))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != degree[v]:
+            continue  # stale entry: v was peeled or its degree dropped
         removed[v] = True
         peeled.append(v)
         for u in adj[v]:
             if not removed[u]:
                 degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     peeled.reverse()
     return peeled
+
+
+def _search_order(n: int, edges: Iterable[tuple[int, int]],
+                  first: Sequence[int] = ()) -> list[int]:
+    """``first`` as given, then every other vertex in smallest-last order."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    rest = set(range(n)) - set(first)
+    return list(first) + [v for v in _degeneracy_order(n, adj) if v in rest]
+
+
+def _cover_search(lists: Sequence[Sequence[int]], matching_of,
+                  edges: Sequence[tuple[int, int]],
+                  fixed: Mapping[int, int]) -> Optional[Transversal]:
+    """First transversal extending ``fixed``; fixed vertices come first."""
+    n = len(lists)
+    order = _search_order(n, edges, sorted(fixed))
+    pos = {v: i for i, v in enumerate(order)}
+    colors = [sorted(lists[v]) for v in order]
+    index_of = [{c: i for i, c in enumerate(cs)} for cs in colors]
+    domains = [1 << index_of[i][fixed[v]] if v in fixed
+               else (1 << len(colors[i])) - 1 for i, v in enumerate(order)]
+    constraints: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if pos[u] > pos[v]:
+            u, v = v, u
+        a, b = pos[u], pos[v]
+        table = [0] * len(colors[a])
+        for cu, cv in matching_of(u, v):
+            if cu in index_of[a] and cv in index_of[b]:
+                table[index_of[a][cu]] = 1 << index_of[b][cv]
+        constraints[b].append((a, table))
+    sol = next(_search(domains, constraints), None)
+    if sol is None:
+        return None
+    out = [0] * n
+    for i, v in enumerate(order):
+        out[v] = colors[i][sol[i]]
+    return Transversal(tuple(out))
 
 
 def find_transversal(h: CoverGraph) -> Optional[Transversal]:
     """A transversal of the cover graph, or None when none exists.
 
-    Deterministic: vertices are tried in smallest-last order and colors in
-    ascending order.
+    Deterministic: an iterative backtracking search tries vertices in
+    smallest-last order and colors in ascending order, and returns the
+    first transversal it meets.  Depth is not bounded by the recursion
+    limit.
     """
     if any(len(cs) == 0 for cs in h.groups):
         return None
-    inst = _Instance(h.groups, h.matching, h.graph_edges)
-    sol = inst.solve()
-    return Transversal(sol) if sol is not None else None
+    return _cover_search(h.groups, h.matching, h.graph_edges, {})
 
 
 def extend_precoloring(g: PlaneGraph, cover: Cover,
                        pre: Precoloring) -> Optional[Transversal]:
     """Extend a partial assignment to a full transversal, if possible.
 
-    Residual lists are implicit: a color of an uncolored vertex is pruned
-    exactly when it is matched to a chosen neighbor color.  Raises
+    The search fixes the precolored vertices first, in ascending vertex
+    order, and then runs as :func:`find_transversal` over the remaining
+    vertices in smallest-last order; a color of an uncolored vertex is
+    pruned exactly when it is matched to a chosen neighbor color.  Raises
     InconsistentPrecoloring when the given partial assignment already
     conflicts (wrong list, or a matched pair chosen on an edge).
     """
@@ -209,163 +220,67 @@ def extend_precoloring(g: PlaneGraph, cover: Cover,
             if cover.matched_color(u, fixed[u], v) == fixed[v]:
                 raise InconsistentPrecoloring(
                     f"edge ({u},{v}): precolored pair is matched")
-    inst = _Instance(cover.lists, cover.matching, g.edges(), fixed)
-    sol = inst.solve()
-    return Transversal(sol) if sol is not None else None
+    return _cover_search(cover.lists, cover.matching, g.edges(), fixed)
+
+
+@functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
+def _perm_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Kernel tables of permutation ``p`` on an edge (u, v), u < v.
+
+    The first maps a color index of u to the bit it bans at v, the second
+    a color index of v to the bit it bans at u.
+    """
+    fwd = [0] * len(p)
+    inv = [0] * len(p)
+    for i, c in enumerate(p):
+        fwd[i] = 1 << (c - 1)
+        inv[c - 1] = 1 << i
+    return tuple(fwd), tuple(inv)
+
+
+class _PermTables:
+    """Kernel constraints for one position order over permutation covers.
+
+    Built once per graph; ``load`` swaps in the tables of one cover from a
+    :class:`_CoverSweep` stream (one permutation per edge of ``edges``).
+    """
+
+    def __init__(self, order: Sequence[int], edges: Sequence[tuple[int, int]]):
+        pos = {v: i for i, v in enumerate(order)}
+        self.constraints: list[list[list]] = [[] for _ in order]
+        self._slots: list[tuple[list, int, int]] = []
+        for e, (u, v) in enumerate(edges):
+            a, b = pos[u], pos[v]
+            slot = [min(a, b), ()]
+            self.constraints[max(a, b)].append(slot)
+            self._slots.append((slot, e, 0 if a < b else 1))
+
+    def load(self, perms: Sequence[tuple[int, ...]]) -> None:
+        for slot, e, side in self._slots:
+            slot[1] = _perm_tables(perms[e])[side]
 
 
 # -- exhaustive cover sweeps -------------------------------------------------
 
 
-def _conjugate(p: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """sigma o p o sigma^{-1}, all permutations of 1..k as image tuples."""
-    k = len(p)
-    q = [0] * k
-    for c in range(1, k + 1):
-        q[sigma[c - 1] - 1] = sigma[p[c - 1] - 1]
-    return tuple(q)
+def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
+             budget: int, exhaustive: str = "canonical"
+             ) -> tuple[_CoverSweep, Iterator, dict]:
+    """The sweep, its cover stream and the verdict's sampling fields.
 
-
-class _CoverSweep:
-    """Shared machinery for exhaustive sweeps over covers with lists 1..k.
-
-    Covers are represented by the tuple of permutations on non-tree edges
-    (tree edges are straight).  ``canonical_tuples`` enumerates one
-    representative per orbit under renaming all lists by a common
-    permutation; renaming preserves transversal existence and maps valid
-    precolorings bijectively, so sweeps may quantify over representatives.
+    Mode "exhaustive" reads the ``exhaustive`` stream, after checking its
+    size against ``budget``.
     """
-
-    def __init__(self, g: PlaneGraph, k: int):
-        self.g = g
-        self.k = k
-        self.tree = set(bfs_tree_edges(g))
-        self.edges = g.edges()
-        self.non_tree = [e for e in self.edges if e not in self.tree]
-        self.perms = sorted(itertools.permutations(range(1, k + 1)))
-        self._conj = {}
-        for s in self.perms:
-            for p in self.perms:
-                self._conj[(s, p)] = _conjugate(p, s)
-
-    @property
-    def total_covers(self) -> int:
-        return math.factorial(self.k) ** len(self.non_tree)
-
-    def canonical_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        sigmas = [s for s in self.perms if any(self._conj[(s, p)] != p
-                                               for p in self.perms)]
-        m = len(self.non_tree)
-        prefix: list[tuple[int, ...]] = []
-
-        def rec(active: list[tuple[int, ...]]
-                ) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if len(prefix) == m:
-                yield tuple(prefix)
-                return
-            for p in self.perms:
-                nxt = []
-                smaller = False
-                for s in active:
-                    q = self._conj[(s, p)]
-                    if q < p:
-                        smaller = True
-                        break
-                    if q == p:
-                        nxt.append(s)
-                if smaller:
-                    continue
-                prefix.append(p)
-                yield from rec(nxt)
-                prefix.pop()
-
-        yield from rec(sigmas)
-
-    def all_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        yield from itertools.product(self.perms, repeat=len(self.non_tree))
-
-    def cover_from(self, perm_tuple: Sequence[tuple[int, ...]]) -> Cover:
-        k = self.k
-        lists = tuple(tuple(range(1, k + 1)) for _ in range(self.g.vertex_count))
-        identity = tuple((c, c) for c in range(1, k + 1))
-        matchings = {e: identity for e in self.tree}
-        for e, p in zip(self.non_tree, perm_tuple):
-            matchings[e] = tuple((c, p[c - 1]) for c in range(1, k + 1))
-        return Cover(lists, matchings)
-
-    def searcher(self) -> "_SweepSearcher":
-        return _SweepSearcher(self)
-
-
-class _SweepSearcher:
-    """Transversal search specialized to a sweep's graph; recheckable per cover."""
-
-    def __init__(self, sweep: _CoverSweep):
-        g, k = sweep.g, sweep.k
-        n = g.vertex_count
-        adj = [set(g.neighbors(v)) for v in range(n)]
-        self.k = k
-        self.order = _degeneracy_order(n, adj)
-        pos = {v: i for i, v in enumerate(self.order)}
-        nt_index = {e: i for i, e in enumerate(sweep.non_tree)}
-        # (earlier position, non-tree index or -1 for straight, forward?)
-        self.constraints: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-        for i, v in enumerate(self.order):
-            for u in adj[v]:
-                if pos[u] >= i:
-                    continue
-                e = (u, v) if u < v else (v, u)
-                if e in nt_index:
-                    self.constraints[i].append((pos[u], nt_index[e], u < v))
-                else:
-                    self.constraints[i].append((pos[u], -1, True))
-
-    def has_transversal(self, perm_tuple: Sequence[tuple[int, ...]],
-                        fixed_at: Optional[dict[int, int]] = None) -> bool:
-        """fixed_at maps order-position -> 0-based color index."""
-        k = self.k
-        forward = []
-        inverse = []
-        for p in perm_tuple:
-            forward.append(tuple(c - 1 for c in p))
-            inv = [0] * k
-            for i, c in enumerate(p):
-                inv[c - 1] = i
-            inverse.append(tuple(inv))
-        constraints = self.constraints
-        n = len(self.order)
-        chosen = [0] * n
-        full = (1 << k) - 1
-        fixed_at = fixed_at or {}
-
-        def rec(i: int) -> bool:
-            if i == n:
-                return True
-            banned = 0
-            for j, t, fwd in constraints[i]:
-                cj = chosen[j]
-                if t < 0:
-                    banned |= 1 << cj
-                elif fwd:
-                    banned |= 1 << forward[t][cj]
-                else:
-                    banned |= 1 << inverse[t][cj]
-            if i in fixed_at:
-                idx = fixed_at[i]
-                if banned >> idx & 1:
-                    return False
-                chosen[i] = idx
-                return rec(i + 1)
-            avail = full & ~banned
-            while avail:
-                idx = (avail & -avail).bit_length() - 1
-                chosen[i] = idx
-                if rec(i + 1):
-                    return True
-                avail &= avail - 1
-            return False
-
-        return rec(0)
+    sweep = _CoverSweep(g, k)
+    if mode == "sampled":
+        return (sweep, sweep.stream("sampled", samples, seed),
+                {"samples": samples, "seed": seed})
+    if mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
+    if sweep.total_covers > budget:
+        raise BudgetExceeded(
+            f"{sweep.total_covers} covers exceed budget {budget}")
+    return sweep, sweep.stream(exhaustive), {}
 
 
 def dp_colorable(g: PlaneGraph, k: int, mode: str = "exhaustive", *,
@@ -375,34 +290,24 @@ def dp_colorable(g: PlaneGraph, k: int, mode: str = "exhaustive", *,
 
     Exhaustive mode sweeps the relabeling-reduced cover space (guarded by
     ``budget`` against (k!)**(|E|-|V|+1) blowup); sampled mode draws seeded
-    random permutation covers and is labeled as such in the verdict.
+    random permutation covers and is labeled as such in the verdict.  A
+    counterexample is re-checked with :func:`find_transversal` before it is
+    returned; SolverError reports a disagreement.
     """
-    if mode == "exhaustive":
-        sweep = _CoverSweep(g, k)
-        if sweep.total_covers > budget:
-            raise BudgetExceeded(
-                f"{sweep.total_covers} covers exceed budget {budget}")
-        searcher = sweep.searcher()
-        checked = 0
-        for t in sweep.canonical_tuples():
-            checked += 1
-            if not searcher.has_transversal(t):
-                bad = sweep.cover_from(t)
-                assert find_transversal(cover_graph(g, bad)) is None
-                return ColorabilityVerdict("exhaustive", False, bad, checked)
-        return ColorabilityVerdict("exhaustive", True, None, checked)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        checked = 0
-        for _ in range(samples):
-            cover = full_cover(g, k, random_chooser(rng.randrange(2 ** 32)))
-            checked += 1
-            if find_transversal(cover_graph(g, cover)) is None:
-                return ColorabilityVerdict("sampled", False, cover, checked,
-                                           samples=samples, seed=seed)
-        return ColorabilityVerdict("sampled", True, None, checked,
-                                   samples=samples, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
+    tables = _PermTables(_search_order(g.vertex_count, sweep.edges),
+                         sweep.edges)
+    domains = [(1 << k) - 1] * g.vertex_count
+    checked = 0
+    for perms in stream:
+        checked += 1
+        tables.load(perms)
+        if next(_search(domains, tables.constraints), None) is None:
+            bad = sweep.cover_from(perms)
+            if find_transversal(cover_graph(g, bad)) is not None:
+                raise SolverError("sweep counterexample has a transversal")
+            return ColorabilityVerdict(mode, False, bad, checked, **sampling)
+    return ColorabilityVerdict(mode, True, None, checked, **sampling)
 
 
 def dp_chromatic(g: PlaneGraph, k_max: int, *,
@@ -417,46 +322,17 @@ def dp_chromatic(g: PlaneGraph, k_max: int, *,
 # -- ordinary and list chromatic numbers -------------------------------------
 
 
-def _adjacency(g: PlaneGraph) -> list[frozenset[int]]:
-    return [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
-
-
-def _k_colorable(adj: Sequence[frozenset[int]], k: int, counter: list[int]) -> bool:
-    n = len(adj)
-    order = _degeneracy_order(n, [set(a) for a in adj])
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[pos[u] for u in adj[v] if pos[u] < i]
-               for i, v in enumerate(order)]
-    color = [-1] * n
-
-    def rec(i: int, used: int) -> bool:
-        counter[0] -= 1
-        if counter[0] < 0:
-            raise BudgetExceeded("coloring search budget exhausted")
-        if i == n:
-            return True
-        banned = {color[j] for j in earlier[i]}
-        # trying one unused color is enough: unused colors are interchangeable
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if c in banned:
-                continue
-            color[i] = c
-            if rec(i + 1, max(used, c + 1)):
-                return True
-        color[i] = -1
-        return False
-
-    return rec(0, 0)
-
-
 def chromatic(g: PlaneGraph, k_max: int, *,
               budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
     """Smallest k <= k_max admitting a proper k-coloring, else None."""
-    adj = _adjacency(g)
+    edges = g.edges()
+    tables = _PermTables(_search_order(g.vertex_count, edges), edges)
     counter = [budget]
     for k in range(1, k_max + 1):
-        if _k_colorable(adj, k, counter):
+        tables.load([tuple(range(1, k + 1))] * len(edges))  # the diagonal cover
+        # colors are interchangeable, so the first vertex takes color 0
+        domains = [1] + [(1 << k) - 1] * (g.vertex_count - 1)
+        if next(_search(domains, tables.constraints, counter), None) is not None:
             return k
     return None
 
@@ -553,22 +429,14 @@ class _Choosability:
         # to carry color c; its last chance is the given position
         pending: dict[tuple[int, int], int] = {}
 
+        # colors never exceed k * m, the most fresh ids the search hands out
+        same = tuple(1 << c for c in range(k * m + 1))
+        constraints = [[(p, same) for p in nbr_pos[i] if p < i]
+                       for i in range(m)]
+
         def colorable() -> bool:
-            chosen = [0] * m
-
-            def rec(i: int) -> bool:
-                if i == m:
-                    return True
-                banned = {chosen[p] for p in nbr_pos[i] if p < i}
-                for c in lists[i]:
-                    if c in banned:
-                        continue
-                    chosen[i] = c
-                    if rec(i + 1):
-                        return True
-                return False
-
-            return rec(0)
+            domains = [sum(1 << c for c in cs) for cs in lists]
+            return next(_search(domains, constraints), None) is not None
 
         def candidates(i: int, used: int) -> Iterator[tuple[int, ...]]:
             earlier = [p for p in nbr_pos[i] if p < i]
@@ -639,7 +507,7 @@ def list_chromatic(g: PlaneGraph, k_max: int, *,
     pools (fresh colors are introduced at most k per vertex, so a pool of
     k*|V| colors already contains a representative of every assignment).
     """
-    adj = _adjacency(g)
+    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
     counter = [budget]
     full = frozenset(range(g.vertex_count))
     for k in range(1, k_max + 1):
@@ -675,6 +543,28 @@ class ExtensionSurvey:
         return not self.failures
 
 
+def _extension_sweep(g: PlaneGraph, k: int, first: Sequence[int],
+                     prefix: Sequence[int], stream: Iterator
+                     ) -> Iterator[tuple[tuple, list[tuple[tuple[int, ...], bool]]]]:
+    """Per cover of ``stream``: the valid precolorings of ``first``, each
+    with whether it extends to a transversal.
+
+    ``prefix[i]`` is the bitmask of colors allowed at ``first[i]``; the
+    precolorings are the kernel's solutions on those positions, as color
+    indices, in ascending order.  One search order serves every cover:
+    ``first``, then the other vertices in smallest-last order.
+    """
+    edges = g.edges()
+    tables = _PermTables(_search_order(g.vertex_count, edges, first), edges)
+    rest = [(1 << k) - 1] * (g.vertex_count - len(first))
+    for perms in stream:
+        tables.load(perms)
+        yield perms, [
+            (pre, next(_search([1 << c for c in pre] + rest,
+                               tables.constraints), None) is not None)
+            for pre in _search(prefix, tables.constraints)]
+
+
 def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
                                   mode: str = "exhaustive", *,
                                   samples: int = 500, seed: int = 0,
@@ -683,170 +573,45 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
     """For each cover, check that every valid precoloring of ``cycle`` extends.
 
     A precoloring is valid when it is independent on the subgraph induced
-    by the cycle's vertices (cycle edges and chords alike).  Per cover, the
-    valid precolorings are generated once per distinct restriction of the
-    matchings to the induced edges, and extension answers are memoized on
-    the residual color masks they induce outside the cycle, so equivalent
-    precolorings cost one search.
+    by the cycle's vertices (cycle edges and chords alike).  Exhaustive
+    mode sweeps the canonical cover stream; sampled mode draws the same
+    seeded covers as sampled :func:`dp_colorable`.  Per cover, the valid
+    precolorings are enumerated in ascending order (colors by cycle
+    position) and each is extended by a search that fixes the cycle first.
     """
     cyc = tuple(cycle)
-    cyc_set = set(cyc)
-    pos_in_cyc = {v: i for i, v in enumerate(cyc)}
-    sweep = _CoverSweep(g, k)
-    nt_index = {e: i for i, e in enumerate(sweep.non_tree)}
-    identity = tuple(range(k))
+    sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
+    survey = ExtensionSurvey(mode, cyc, k, 0, 0, **sampling)
+    for perms, results in _extension_sweep(g, k, cyc, [(1 << k) - 1] * len(cyc),
+                                           stream):
+        survey.covers_checked += 1
+        survey.precolorings_checked += len(results)
+        for pre, extends in results:
+            if not extends:
+                colors = {v: c + 1 for v, c in zip(cyc, pre)}
+                survey.failures.append(ExtensionFailure(
+                    sweep.cover_from(perms), Precoloring.of(colors)))
+    return survey
 
-    # induced edges, described against cycle positions
-    inner: list[tuple[int, int, int]] = []  # (pos_u, pos_v, nontree idx | -1)
-    for u, v in g.edges():
-        if u in cyc_set and v in cyc_set:
-            inner.append((pos_in_cyc[u], pos_in_cyc[v], nt_index.get((u, v), -1)))
-    inner_nt = sorted({t for _, _, t in inner if t >= 0})
 
-    # boundary constraints: cycle neighbors of each residual vertex
-    residual = [v for v in range(g.vertex_count) if v not in cyc_set]
-    res_pos = {v: i for i, v in enumerate(residual)}
-    # (residual position, cycle position, nontree idx | -1, forward?)
-    cross: list[tuple[int, int, int, bool]] = []
-    for u, v in g.edges():
-        if u in cyc_set and v not in cyc_set:
-            e = (u, v)
-            cross.append((res_pos[v], pos_in_cyc[u], nt_index.get(e, -1), True))
-        elif v in cyc_set and u not in cyc_set:
-            e = (u, v)
-            cross.append((res_pos[u], pos_in_cyc[v], nt_index.get(e, -1), False))
-    # residual-residual constraints for the extension search, ordered
-    res_edges: list[tuple[int, int, int, bool]] = []
-    for u, v in g.edges():
-        if u not in cyc_set and v not in cyc_set:
-            a, b = res_pos[u], res_pos[v]
-            if a > b:
-                a, b = b, a
-                fwd = False
-            else:
-                fwd = True
-            res_edges.append((a, b, nt_index.get((u, v), -1), fwd))
-    r = len(residual)
-    full_mask = (1 << k) - 1
+def _extension_counts(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
+                      seed: int) -> tuple[int, int, int]:
+    """Covers swept, those under which ``pre`` (colors in 1..k) is valid,
+    and those where it does not extend.
 
-    pre_cache: dict[tuple, list[tuple[int, ...]]] = {}
-
-    def valid_precolorings(key: tuple) -> list[tuple[int, ...]]:
-        got = pre_cache.get(key)
-        if got is not None:
-            return got
-        rows = {t: p for t, p in zip(inner_nt, key)}
-        inv = {t: tuple(sorted(range(k), key=p.__getitem__))
-               for t, p in rows.items()}
-        for t, p in rows.items():
-            table = [0] * k
-            for i, c in enumerate(p):
-                table[c] = i
-            inv[t] = tuple(table)
-        out: list[tuple[int, ...]] = []
-        assign = [0] * len(cyc)
-
-        def rec(i: int) -> None:
-            if i == len(cyc):
-                out.append(tuple(assign))
-                return
-            banned = 0
-            for pu, pv, t in inner:
-                if pv == i and pu < i:
-                    c = assign[pu] if t < 0 else rows[t][assign[pu]]
-                    banned |= 1 << c
-                elif pu == i and pv < i:
-                    c = assign[pv] if t < 0 else inv[t][assign[pv]]
-                    banned |= 1 << c
-            for c in range(k):
-                if not banned >> c & 1:
-                    assign[i] = c
-                    rec(i + 1)
-
-        rec(0)
-        pre_cache[key] = out
-        return out
-
-    def residual_extends(fwd_rows, inv_rows, masks: list[int]) -> bool:
-        if any(m == full_mask for m in masks):
-            return False
-
-        def rec(i: int) -> bool:
-            if i == r:
-                return True
-            avail = full_mask & ~masks[i]
-            while avail:
-                c = (avail & -avail).bit_length() - 1
-                avail &= avail - 1
-                touched: list[tuple[int, int]] = []
-                ok = True
-                for a, b, t, f in res_edges:
-                    if a == i and b > i:
-                        banned = c if t < 0 else (fwd_rows[t][c] if f
-                                                  else inv_rows[t][c])
-                        touched.append((b, masks[b]))
-                        masks[b] |= 1 << banned
-                        if masks[b] == full_mask:
-                            ok = False
-                if ok and rec(i + 1):
-                    return True
-                for b, old in touched:
-                    masks[b] = old
-            return False
-
-        return rec(0)
-
-    def run(perm_tuple: Sequence[tuple[int, ...]],
-            survey: ExtensionSurvey) -> None:
-        fwd_rows = []
-        inv_rows = []
-        for p in perm_tuple:
-            row = tuple(c - 1 for c in p)
-            fwd_rows.append(row)
-            inv = [0] * k
-            for i, c in enumerate(row):
-                inv[c] = i
-            inv_rows.append(tuple(inv))
-        key = tuple(fwd_rows[t] for t in inner_nt)
-        memo: dict[tuple[int, ...], bool] = {}
-        for pre in valid_precolorings(key):
-            survey.precolorings_checked += 1
-            masks = [0] * r
-            for rp, cp, t, f in cross:
-                c = pre[cp]
-                banned = c if t < 0 else (fwd_rows[t][c] if f else inv_rows[t][c])
-                masks[rp] |= 1 << banned
-            sig = tuple(masks)
-            ok = memo.get(sig)
-            if ok is None:
-                ok = residual_extends(fwd_rows, inv_rows, list(masks))
-                memo[sig] = ok
-            if not ok:
-                cover = sweep.cover_from(perm_tuple)
-                colors = {v: pre[i] + 1 for i, v in enumerate(cyc)}
-                survey.failures.append(
-                    ExtensionFailure(cover, Precoloring.of(colors)))
-
-    if mode == "exhaustive":
-        if sweep.total_covers > budget:
-            raise BudgetExceeded(
-                f"{sweep.total_covers} covers exceed budget {budget}")
-        survey = ExtensionSurvey("exhaustive", cyc, k, 0, 0)
-        for t in sweep.canonical_tuples():
-            survey.covers_checked += 1
-            run(t, survey)
-        return survey
-    if mode == "sampled":
-        rng = random.Random(seed)
-        survey = ExtensionSurvey("sampled", cyc, k, 0, 0,
-                                 samples=samples, seed=seed)
-        for _ in range(samples):
-            t = tuple(tuple(rng.sample(range(1, k + 1), k))
-                      for _ in sweep.non_tree)
-            survey.covers_checked += 1
-            run(t, survey)
-        return survey
-    raise ValueError(f"unknown mode {mode!r}")
+    ``samples == 0`` sweeps the full stream, not the canonical one: a fixed
+    precoloring breaks the common-renaming symmetry.
+    """
+    _, stream, _ = _request(g, k, "sampled" if samples else "exhaustive",
+                            samples, seed, DEFAULT_COVER_BUDGET, "full")
+    checked = valid = failures = 0
+    for _, results in _extension_sweep(g, k, [v for v, _ in pre.items],
+                                       [1 << (c - 1) for _, c in pre.items],
+                                       stream):
+        checked += 1
+        valid += len(results)
+        failures += sum(not extends for _, extends in results)
+    return checked, valid, failures
 
 
 def greedy_extension_order(g: PlaneGraph, cycle: Sequence[int],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +19,23 @@ def cycle_rotations(n):
 
 def make_cycle(n):
     return build_from_rotation(n, cycle_rotations(n))
+
+
+def triangulated_grid(side):
+    """The side x side grid with the diagonal (x, y)-(x+1, y+1) in each
+    cell; vertex y * side + x sits at (x, y), rotations run clockwise."""
+    points = [(x, y) for y in range(side) for x in range(side)]
+    nbrs = [[] for _ in points]
+    for x, y in points:
+        for dx, dy in ((1, 0), (0, 1), (1, 1)):
+            if x + dx < side and y + dy < side:
+                v, u = y * side + x, (y + dy) * side + x + dx
+                nbrs[v].append(u)
+                nbrs[u].append(v)
+    rotations = [sorted(ns, key=lambda u: -math.atan2(
+        points[u][1] - points[v][1], points[u][0] - points[v][0]))
+        for v, ns in enumerate(nbrs)]
+    return build_from_rotation(len(points), rotations)
 
 
 @pytest.fixture(scope="session")

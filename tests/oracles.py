@@ -93,3 +93,22 @@ def choosable_bounded_pool(adj: Sequence[Iterable[int]], k: int) -> bool:
         if not list_colorable(adj, assignment):
             return False
     return True
+
+
+def degeneracy_order_quadratic(n: int, adj: Sequence[Iterable[int]]) -> list[int]:
+    """Smallest-last order by a full scan per step: peel the vertex of least
+    (remaining degree, index), then reverse."""
+    nbrs = [set(a) for a in adj]
+    degree = [len(a) for a in nbrs]
+    removed = [False] * n
+    peeled: list[int] = []
+    for _ in range(n):
+        v = min((x for x in range(n) if not removed[x]),
+                key=lambda x: (degree[x], x))
+        removed[v] = True
+        peeled.append(v)
+        for u in nbrs[v]:
+            if not removed[u]:
+                degree[u] -= 1
+    peeled.reverse()
+    return peeled

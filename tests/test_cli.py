@@ -86,6 +86,26 @@ def test_extend_sampled_reports_seed(c4_file, capsys):
     assert "samples=25" in out and "seed=7" in out
 
 
+def test_extend_rejects_vacuous_input(c4_file, capsys):
+    # colors outside 1..k, or equal colors across the straight tree edge 0-1,
+    # are valid under no cover; a verdict on them would be vacuous
+    base = ["extend", c4_file, "--cycle", "0,1", "--k", "4"]
+    assert main(base + ["--colors", "9,9"]) == 2
+    assert "1..4" in capsys.readouterr().err
+    assert main(base + ["--colors", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "vacuous" in captured.err and captured.out == ""
+    assert main(["extend", c4_file, "--cycle", "0,7", "--colors", "1,2",
+                 "--k", "4"]) == 2
+
+
+def test_extend_exhaustive_budget(k4_file, capsys):
+    # K4 has beta = 3, so k = 6 gives 720**3 covers, over DEFAULT_COVER_BUDGET
+    assert main(["extend", k4_file, "--cycle", "0,1,2", "--colors", "1,2,3",
+                 "--k", "6"]) == 2
+    assert "exceed budget" in capsys.readouterr().err
+
+
 def test_discharge_command(c4_file, capsys):
     assert main(["discharge", c4_file, "--rules", "g1"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ from dpcolor import (RULESET_G1, audit, build_from_rotation, class_membership,
                      embed_planar, enumerate_covers, extend_precoloring,
                      list_chromatic, Precoloring, InconsistentPrecoloring,
                      survey_precoloring_extensions)
-from dpcolor.solver import _CoverSweep, _conjugate
+from dpcolor.cover import _CoverSweep, _conjugate
 from conftest import make_cycle
 from oracles import has_transversal_brute
 

@@ -12,8 +12,10 @@ from dpcolor import (BudgetExceeded, CoverGraph, InconsistentPrecoloring,
                      dp_colorable, extend_precoloring, find_transversal,
                      full_cover, list_chromatic, random_chooser, straighten,
                      survey_precoloring_extensions, table_chooser)
-from conftest import make_cycle
-from oracles import choosable_bounded_pool, has_transversal_brute
+import dpcolor.solver as solver
+from conftest import make_cycle, triangulated_grid
+from oracles import (choosable_bounded_pool, degeneracy_order_quadratic,
+                     has_transversal_brute)
 
 
 def _check_transversal(h: CoverGraph, t) -> None:
@@ -209,3 +211,69 @@ def test_greedy_extension_order(c6, octahedron):
     assert greedy_extension_order(c6, (0, 1, 2), 4) is not None
     # the octahedron rim pins every remaining vertex against four constraints
     assert greedy_extension_order(octahedron, (1, 2, 3, 4), 4) is None
+
+
+def _smallest_valid_colors(g, cover, vertices):
+    """Greedy smallest colors on ``vertices``, valid under ``cover``."""
+    chosen = {}
+    for v in vertices:
+        chosen[v] = next(c for c in cover.lists[v] if all(
+            cover.matched_color(u, chosen[u], v) != c
+            for u in g.neighbors(v) if u in chosen))
+    return Precoloring.of(chosen)
+
+
+def _check_extension(g, cover, pre, t) -> None:
+    _check_transversal(cover_graph(g, cover), t)
+    assert all(t.color(v) == c for v, c in pre.items)
+
+
+def test_degeneracy_order_matches_quadratic_oracle(corpus_n6):
+    graphs = list(corpus_n6) + [triangulated_grid(s) for s in (2, 5, 12)]
+    for g in graphs:
+        adj = [set(g.neighbors(v)) for v in range(g.vertex_count)]
+        assert solver._degeneracy_order(g.vertex_count, adj) \
+            == degeneracy_order_quadratic(g.vertex_count, adj)
+
+
+def test_extend_fixes_precolored_vertices_first(monkeypatch):
+    # Precolored triangles on a 5-cover of the triangulated 10 x 10 grid:
+    # with the fixed vertices searched in smallest-last position, some of
+    # these calls backtracked for seconds; fixed first, each needs about
+    # one node per vertex.  Every kernel run gets a budget of 2n nodes.
+    g = triangulated_grid(10)
+    real = solver._search
+    monkeypatch.setattr(solver, "_search", lambda domains, constraints,
+                        counter=None: real(domains, constraints,
+                                           [2 * g.vertex_count]))
+    calls = 0
+    for seed in range(3):
+        cover = full_cover(g, 5, random_chooser(seed))
+        for f in g.faces:
+            if f.id == g.outer_face_id:
+                continue
+            pre = _smallest_valid_colors(g, cover, f.boundary)
+            _check_extension(g, cover, pre, extend_precoloring(g, cover, pre))
+            calls += 1
+    assert calls == 3 * 162
+
+
+def test_large_grid_within_default_recursion_limit():
+    # n = 10^4; the search depth is n, far beyond the recursion limit
+    g = triangulated_grid(100)
+    cover = full_cover(g, 5, random_chooser(11))
+    h = cover_graph(g, cover)
+    _check_transversal(h, find_transversal(h))
+    face = next(f for f in g.faces if f.id != g.outer_face_id)
+    pre = _smallest_valid_colors(g, cover, face.boundary)
+    _check_extension(g, cover, pre, extend_precoloring(g, cover, pre))
+
+
+def test_dp_colorable_rechecks_counterexample(c4, monkeypatch):
+    # a counterexample that find_transversal solves must not be returned,
+    # also when assertions are stripped (python -O)
+    monkeypatch.setattr(solver, "find_transversal",
+                        lambda h: solver.Transversal((1, 1, 1, 1)))
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(solver.SolverError):
+            dp_colorable(c4, 2, mode, samples=200, seed=3)
