@@ -13,17 +13,13 @@ Floating point is never used; all amounts are fractions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .plane_graph import PlaneGraph
-from .structure import (FaceAdjacency, VertexFaceBadness,
-                        bounded_triangles, class_membership,
-                        classify_cycle, classify_vertices_and_faces,
-                        enumerate_cycles, find_triangle_patches,
-                        internal_vertices, outer_boundary_report)
+from .structure import (VertexFaceBadness, _Analysis, _face_groups,
+                        outer_boundary_report)
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face id)
 
@@ -101,17 +97,15 @@ class TransferLog:
 class _Context:
     """Everything the rules read: graph, tags, adjacency, live charges."""
 
-    def __init__(self, g: PlaneGraph, tags: VertexFaceBadness):
-        self.g = g
+    def __init__(self, an: _Analysis, tags: VertexFaceBadness):
+        self.g = an.g
         self.tags = tags
-        self.adjacency = FaceAdjacency(g)
-        self.outer = g.outer_face_id
-        self.outer_verts = g.outer_vertices()
-        self.tris = bounded_triangles(g)
+        self.adjacency = an.adjacency
+        self.outer = self.g.outer_face_id
+        self.outer_verts = self.g.outer_vertices()
+        self.tris = an.triangles
         self.tri_ids = frozenset(f.id for f in self.tris)
         self.charges: dict[Element, Fraction] = {}
-        if not hasattr(tags, "triangles_at_vertex"):  # pragma: no cover
-            raise TagUnavailable("vertex/face tags missing")
 
     def face_len(self, fid: int) -> int:
         return self.g.face(fid).length
@@ -332,7 +326,8 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
         else:
             charges[("f", f.id)] = Fraction(f.length - 4)
     led = ChargeLedger(charges, "initial")
-    assert led.total() == 0
+    if led.total() != 0:
+        raise DischargingError("initial charges do not sum to zero")
     return led
 
 
@@ -345,12 +340,18 @@ def run_discharging(g: PlaneGraph, ruleset: RuleSet,
     order, so the log is reproducible; replaying it over the initial
     ledger reconstructs the final ledger exactly.
     """
+    an = _Analysis(g)
     if tags is None:
-        tags = classify_vertices_and_faces(g)
+        tags = an.badness
     elif len(tags.triangles_at_vertex) != g.vertex_count:
         raise TagUnavailable("tags were computed for a different graph")
-    ctx = _Context(g, tags)
-    led = initial_charges(g).copy("post-rules")
+    return _discharge(an, ruleset, tags)
+
+
+def _discharge(an: _Analysis, ruleset: RuleSet, tags: VertexFaceBadness
+               ) -> tuple[ChargeLedger, TransferLog]:
+    ctx = _Context(an, tags)
+    led = initial_charges(an.g).copy("post-rules")
     ctx.charges = led.charges
     entries: list[Transfer] = []
     for rule in ruleset.rules:
@@ -410,26 +411,6 @@ class DischargingReport:
         return "\n".join(lines) + "\n"
 
 
-def _restricted_patches(g: PlaneGraph, adjacency: FaceAdjacency,
-                        face_ids: list[int]) -> list[list[int]]:
-    """Connected groups (by shared edges) within a subset of 3-faces."""
-    groups: list[list[int]] = []
-    left = set(face_ids)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in list(left):
-                if y not in comp and adjacency.adjacent(x, y):
-                    comp.add(y)
-                    stack.append(y)
-        groups.append(sorted(comp))
-        left -= comp
-    return groups
-
-
 def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     """Run the ruleset and cross-check everything checkable.
 
@@ -439,11 +420,11 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     (they come from arguments about highly constrained embeddings and are
     simply not claims about arbitrary graphs).
     """
-    tags = classify_vertices_and_faces(g)
-    final, log = run_discharging(g, ruleset, tags)
+    an = _Analysis(g)
+    tags = an.badness
+    final, log = _discharge(an, ruleset, tags)
     initial = initial_charges(g)
-    adjacency = FaceAdjacency(g)
-    tag = class_membership(g)
+    tag = an.tag
 
     conservation_ok = initial.total() == 0 and final.total() == 0
     replay_ok = log.replay(initial).charges == final.charges
@@ -469,25 +450,18 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     cross_edges = [(u, v) for u, v in g.edges()
                    if (u in outer_verts) != (v in outer_verts)]
     s = len(cross_edges)
-    tri_faces = bounded_triangles(g)
-    tri_edge_sets = {f.id: f.edge_set() for f in tri_faces}
-
-    def on_some_triangle(e: tuple[int, int]) -> bool:
-        return any(e in es for es in tri_edge_sets.values())
-
-    s_prime = sum(1 for e in cross_edges if not on_some_triangle(e))
-    non_internal = [f.id for f in tri_faces if f.vertex_set() & outer_verts]
+    tri_edges = {e for f in an.triangles for e in f.edge_set()}
+    s_prime = sum(1 for e in cross_edges if e not in tri_edges)
+    non_internal = [f.id for f in an.triangles if f.vertex_set() & outer_verts]
     f3 = len(non_internal)
-    rpatches = _restricted_patches(g, adjacency, non_internal)
+    rpatches = _face_groups(an.adjacency, non_internal)
     t1 = sum(1 for p in rpatches if len(p) == 1)
     t2 = sum(1 for p in rpatches if len(p) == 2)
-    global_patches = find_triangle_patches(g)
-    f3_prime = sum(1 for p in global_patches
-                   if p.face_ids and all(g.face(fid).vertex_set() & outer_verts
-                                         for fid in p.face_ids))
-    b = sum((t.amount for t in log.entries
-             if t.rule == ruleset.surplus_rule_id and t.receiver == outer_elem),
-            Fraction(0))
+    touching = set(non_internal)
+    f3_prime = sum(1 for p in an.patches if touching.issuperset(p.face_ids))
+    surplus = {t.sender[1]: t.amount for t in log.entries
+               if t.rule == ruleset.surplus_rule_id and t.receiver == outer_elem}
+    b = sum(surplus.values(), Fraction(0))
     k = s - f3
     acct = OuterAccounting(d_outer, s, s_prime, f3, f3_prime, t1, t2, b, k)
 
@@ -495,48 +469,41 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     boundary_simple = (len(set(g.outer_face.boundary))
                        == len(g.outer_face.boundary) >= 3)
 
-    def shared_edge_touches_outer(p: list[int]) -> bool:
-        for a, bfid in itertools.combinations(p, 2):
-            for e in tri_edge_sets[a] & tri_edge_sets[bfid]:
-                if not (e[0] in outer_verts or e[1] in outer_verts):
-                    return False
-        return True
+    def touch_outer(edges: Iterable[tuple[int, int]]) -> bool:
+        return all(u in outer_verts or v in outer_verts for u, v in edges)
 
     if tag.in_g1:
         acct.g1_identity_applicable = (
             chordless and boundary_simple
             and all(len(p) <= 2 for p in rpatches)
-            and all(shared_edge_touches_outer(p) for p in rpatches))
+            and all(touch_outer(g.face(p[0]).edge_set() & g.face(p[1]).edge_set())
+                    for p in rpatches if len(p) == 2))
         if acct.g1_identity_applicable:
             acct.g1_identity_holds = (f3 == t1 + 2 * t2
                                       and s == s_prime + 2 * t1 + 3 * t2)
     if tag.in_g2:
-        mixed = any(
-            (any(g.face(fid).vertex_set() & outer_verts for fid in p.face_ids)
-             and not all(g.face(fid).vertex_set() & outer_verts
-                         for fid in p.face_ids))
-            for p in global_patches)
-        acyclic = all(len(p.face_ids) - 1 ==
-                      sum(1 for a, bfid in itertools.combinations(p.face_ids, 2)
-                          if adjacency.adjacent(a, bfid))
-                      for p in global_patches)
+        # no patch partly touches the outer face; each is a tree (bounded
+        # 3-faces share at most one edge) whose glued edges touch it
         acct.g2_identity_applicable = (
-            chordless and boundary_simple and not mixed and acyclic
-            and all(shared_edge_touches_outer(list(p.face_ids))
-                    for p in global_patches))
+            chordless and boundary_simple
+            and all(touching.issuperset(p.face_ids)
+                    or touching.isdisjoint(p.face_ids) for p in an.patches)
+            and all(len(p.edges - p.boundary_edges) == p.size - 1
+                    and touch_outer(p.edges - p.boundary_edges)
+                    for p in an.patches))
         if acct.g2_identity_applicable:
             acct.g2_identity_holds = (s == s_prime + f3 + f3_prime)
 
     checks: list[BoundCheck] = []
-    ivs = internal_vertices(g)
+    ivs = tags.internal_vertices
     min_deg_ok = all(g.degree(v) >= 4 for v in ivs)
     has_interior = bool(ivs)
 
     if ruleset.id == "G1":
-        sep_free = not any(classify_cycle(g, c).separating
-                           for c in enumerate_cycles(g, 7))
-        applicable = (tag.in_g1 and has_interior and min_deg_ok and sep_free
-                      and chordless and boundary_simple and d_outer >= 5)
+        applicable = (tag.in_g1 and has_interior and min_deg_ok
+                      and chordless and boundary_simple and d_outer >= 5
+                      and not any(an.separates(c.vertices)
+                                  for c in an.cycles(7)))
         holds = None
         viol: tuple = ()
         if applicable:
@@ -563,29 +530,23 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
                                  tuple(r1viol)))
 
     if ruleset.id == "G2":
-        outer_cycle_ok = boundary_simple and d_outer <= 8
-        outer_good = (outer_cycle_ok
-                      and not classify_cycle(g, g.outer_face.boundary).is_bad)
-        sep_free = not any(
-            (lambda cc: cc.separating and cc.is_good)(classify_cycle(g, c))
-            for c in enumerate_cycles(g, 8))
-        applicable = (tag.in_g2 and has_interior and min_deg_ok and sep_free
-                      and chordless and outer_good)
+        applicable = (tag.in_g2 and has_interior and min_deg_ok and chordless
+                      and boundary_simple and d_outer <= 8
+                      and not an.bad_witnesses(g.outer_face.boundary)
+                      and not any(an.separates(c.vertices)
+                                  and not an.bad_witnesses(c.vertices)
+                                  for c in an.cycles(8)))
         share_viol = []
         comp_holds = None
         comp_viol: tuple = ()
         if applicable:
-            surplus_by_face: dict[int, Fraction] = {}
-            for t in log.entries:
-                if t.rule == ruleset.surplus_rule_id and t.receiver == outer_elem:
-                    surplus_by_face[t.sender[1]] = t.amount
             for f in g.faces:
                 if f.id == outer_id or f.length < 5:
                     continue
-                kf = adjacency.shared_edges(f.id, outer_id)
+                kf = an.adjacency.shared_edges(f.id, outer_id)
                 if kf == 0:
                     continue
-                sent = surplus_by_face.get(f.id, Fraction(0))
+                sent = surplus.get(f.id, Fraction(0))
                 floor = (Fraction(kf, 6) if f.length == 5
                          else Fraction(kf, 3) if f.length == 6
                          else Fraction(3 * kf, 7))

@@ -229,7 +229,8 @@ def parse(document: GraphDocument, embed_limit: int = 12) -> PlaneGraph:
     if document.rotations is not None:
         return build_from_rotation(document.vertex_count, document.rotations,
                                    document.outer_hint)
-    assert document.edges is not None
+    if document.edges is None:
+        raise DocumentSyntaxError("document has neither rotations nor edges")
     return embed_planar(document.vertex_count, document.edges,
                         limit=embed_limit)
 

@@ -10,7 +10,9 @@ stored outer face.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .plane_graph import (Cycle, Face, PlaneGraph, _norm_edge,
@@ -116,11 +118,8 @@ class VertexFaceBadness:
                               ) -> tuple[int, ...]:
         """Incident 3-faces adjacent to none of v's other incident 3-faces."""
         fs = self.triangles_at_vertex[v]
-        out = []
-        for f in fs:
-            if all(other == f or not adjacency.adjacent(f, other) for other in fs):
-                out.append(f)
-        return tuple(out)
+        return tuple(f for f in fs
+                     if not any(adjacency.adjacent(f, other) for other in fs))
 
 
 @dataclass(frozen=True)
@@ -143,30 +142,22 @@ class FaceAdjacency:
     """Edge-sharing relation between faces, with shared-edge counts."""
 
     def __init__(self, g: PlaneGraph):
-        self._counts: dict[tuple[int, int], int] = {}
+        self._shared: list[dict[int, int]] = [{} for _ in g.faces]
         for u, v in g.edges():
             f1, f2 = g.faces_at_edge(u, v)
             if f1 != f2:
-                key = (f1, f2) if f1 < f2 else (f2, f1)
-                self._counts[key] = self._counts.get(key, 0) + 1
+                self._shared[f1][f2] = self._shared[f1].get(f2, 0) + 1
+                self._shared[f2][f1] = self._shared[f2].get(f1, 0) + 1
+        self._neighbors = [tuple(sorted(s)) for s in self._shared]
 
     def adjacent(self, f1: int, f2: int) -> bool:
-        return self.shared_edges(f1, f2) > 0
+        return f2 in self._shared[f1]
 
     def shared_edges(self, f1: int, f2: int) -> int:
-        if f1 == f2:
-            return 0
-        key = (f1, f2) if f1 < f2 else (f2, f1)
-        return self._counts.get(key, 0)
+        return self._shared[f1].get(f2, 0)
 
-    def neighbors(self, f: int) -> list[int]:
-        out = set()
-        for a, b in self._counts:
-            if a == f:
-                out.add(b)
-            elif b == f:
-                out.add(a)
-        return sorted(out)
+    def neighbors(self, f: int) -> tuple[int, ...]:
+        return self._neighbors[f]
 
 
 def internal_vertices(g: PlaneGraph) -> frozenset[int]:
@@ -184,57 +175,189 @@ def bounded_triangles(g: PlaneGraph) -> list[Face]:
     return [f for f in g.faces if f.length == 3 and f.id != g.outer_face_id]
 
 
+def _face_groups(adjacency: FaceAdjacency, face_ids: Iterable[int]
+                 ) -> list[list[int]]:
+    """Connected groups, by shared edges, of a set of faces; each group is
+    sorted and the groups come in order of their smallest face."""
+    left = set(face_ids)
+    groups: list[list[int]] = []
+    for start in sorted(left):
+        if start in left:
+            left.remove(start)
+            group = [start]
+            for x in group:  # grows while it is read: a breadth-first walk
+                for y in adjacency.neighbors(x):
+                    if y in left:
+                        left.remove(y)
+                        group.append(y)
+            groups.append(sorted(group))
+    return groups
+
+
+class _Analysis:
+    """The derived structural facts of one graph, each computed at most once.
+
+    Every public check builds one for its own call and drops it on return;
+    nothing is kept on the graph or in the module.
+    """
+
+    def __init__(self, g: PlaneGraph):
+        self.g = g
+        self._reach = 2
+        self._cycles: list[Cycle] = []
+
+    def cycles(self, max_len: int) -> list[Cycle]:
+        """Cycles of length at most ``max_len``, grouped by length as
+        enumerate_cycles sorts them; enumerated again only to reach further."""
+        if max_len > self._reach:
+            self._cycles = enumerate_cycles(self.g, max_len)
+            self._reach = max_len
+        return [c for c in self._cycles if c.length <= max_len]
+
+    @cached_property
+    def adjacency(self) -> FaceAdjacency:
+        return FaceAdjacency(self.g)
+
+    @cached_property
+    def triangles(self) -> list[Face]:
+        return bounded_triangles(self.g)
+
+    @cached_property
+    def tag(self) -> ClassTag:
+        # a cycle shares an edge with some 4-cycle iff it meets their union
+        cycles = self.cycles(6)
+        four = {e for c in cycles if c.length == 4 for e in c.edge_set()}
+        meet = {c.length for c in cycles
+                if c.length > 4 and not four.isdisjoint(c.edge_set())}
+        return ClassTag(5 not in meet, 6 not in meet)
+
+    @cached_property
+    def patches(self) -> list[TrianglePatch]:
+        patches = []
+        for members in _face_groups(self.adjacency,
+                                    (f.id for f in self.triangles)):
+            edge_count: dict[tuple[int, int], int] = {}
+            verts: set[int] = set()
+            for fid in members:
+                face = self.g.face(fid)
+                verts |= face.vertex_set()
+                for e in face.edge_set():
+                    edge_count[e] = edge_count.get(e, 0) + 1
+            patches.append(TrianglePatch(
+                size=len(members),
+                face_ids=tuple(members),
+                vertices=frozenset(verts),
+                edges=frozenset(edge_count),
+                boundary_edges=frozenset(e for e, c in edge_count.items()
+                                         if c == 1)))
+        return patches
+
+    @cached_property
+    def badness(self) -> VertexFaceBadness:
+        g, adjacency = self.g, self.adjacency
+        tri_ids = {f.id for f in self.triangles}
+        at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        for f in self.triangles:
+            for v in f.vertex_set():
+                at_vertex[v].append(f.id)
+        bad4, bad5, good5 = set(), set(), set()
+        for v in range(g.vertex_count):
+            fs = at_vertex[v]
+            if g.degree(v) == 4:
+                if len(fs) == 2 and adjacency.adjacent(fs[0], fs[1]):
+                    bad4.add(v)
+            elif g.degree(v) == 5:
+                pairs = sum(1 for a, b in itertools.combinations(fs, 2)
+                            if adjacency.adjacent(a, b))
+                if len(fs) == 3 and pairs == 1:
+                    bad5.add(v)
+                else:
+                    good5.add(v)
+        diamonds = set()
+        for f in self.triangles:
+            for other in adjacency.neighbors(f.id):
+                if other not in tri_ids:
+                    continue
+                shared = f.vertex_set() & g.face(other).vertex_set()
+                if len(shared) == 2 and all(g.degree(v) == 4 for v in shared):
+                    diamonds.add(f.id)
+                    diamonds.add(other)
+        ivs = internal_vertices(g)
+        outer = g.outer_vertices()
+        special: dict[int, frozenset[int]] = {}
+        for f in g.faces:
+            if f.length != 5 or f.id == g.outer_face_id:
+                continue
+            fv = f.vertex_set()
+            found = set()
+            for other in adjacency.neighbors(f.id):
+                if other == g.outer_face_id:
+                    continue
+                of = g.face(other)
+                shared_internal = fv & of.vertex_set() & ivs
+                if of.length == 3:
+                    if (len(shared_internal) == 2
+                            and len(of.vertex_set() & outer) == 1):
+                        found.add(other)
+                elif of.length == 4:
+                    if (len(shared_internal) == 2
+                            and len(of.vertex_set() & outer) == 2
+                            and all(g.face(x).length != 3
+                                    for x in adjacency.neighbors(other)
+                                    if x != g.outer_face_id)):
+                        found.add(other)
+            special[f.id] = frozenset(found)
+        return VertexFaceBadness(
+            bad4=frozenset(bad4),
+            bad5=frozenset(bad5),
+            good5=frozenset(good5),
+            diamond_faces=frozenset(diamonds),
+            triangles_at_vertex=tuple(tuple(sorted(fs)) for fs in at_vertex),
+            internal_vertices=ivs,
+            internal_faces=internal_faces(g),
+            special_faces=special)
+
+    def bad_witnesses(self, verts: Sequence[int]) -> tuple[int, ...]:
+        """Vertices of degree >= 4 off the cycle with four or more
+        neighbours on it, found from the cycle's own neighbourhoods."""
+        on_cycle = set(verts)
+        hits = Counter(u for v in verts for u in self.g.neighbors(v)
+                       if u not in on_cycle)
+        return tuple(sorted(u for u, n in hits.items()
+                            if n >= 4 and self.g.degree(u) >= 4))
+
+    def separates(self, verts: Sequence[int]) -> bool:
+        """Whether vertices lie off the cycle on both of its sides.
+
+        At each cycle vertex the rotation from the previous cycle vertex to
+        the next runs along one side, and on to the previous along the
+        other.  The graph is connected, so every component off the cycle has
+        a neighbour on it, and no faces need tracing.
+        """
+        on_cycle = set(verts)
+        seen = set()
+        for i, v in enumerate(verts):
+            rot = self.g.neighbors(v)
+            k = rot.index(verts[i - 1])
+            side = 0
+            for w in rot[k + 1:] + rot[:k]:
+                if w == verts[(i + 1) % len(verts)]:
+                    side = 1
+                elif w not in on_cycle:
+                    seen.add(side)
+            if len(seen) == 2:
+                return True
+        return False
+
+
 def class_membership(g: PlaneGraph) -> ClassTag:
     """Test the two forbidden cycle adjacencies (cycles share an edge)."""
-    cycles = enumerate_cycles(g, 6)
-    by_len: dict[int, list[frozenset[tuple[int, int]]]] = {4: [], 5: [], 6: []}
-    for c in cycles:
-        if c.length in by_len:
-            by_len[c.length].append(c.edge_set())
-    in_g1 = not any(e4 & e5 for e4 in by_len[4] for e5 in by_len[5])
-    in_g2 = not any(e4 & e6 for e4 in by_len[4] for e6 in by_len[6])
-    return ClassTag(in_g1, in_g2)
+    return _Analysis(g).tag
 
 
 def find_triangle_patches(g: PlaneGraph) -> list[TrianglePatch]:
     """Maximal edge-glued groups of bounded 3-faces; each 3-face in one patch."""
-    tris = bounded_triangles(g)
-    ids = [f.id for f in tris]
-    adjacency = FaceAdjacency(g)
-    parent = {i: i for i in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f1, f2 in itertools.combinations(ids, 2):
-        if adjacency.adjacent(f1, f2):
-            r1, r2 = find(f1), find(f2)
-            if r1 != r2:
-                parent[r1] = r2
-    groups: dict[int, list[int]] = {}
-    for i in ids:
-        groups.setdefault(find(i), []).append(i)
-    patches = []
-    for members in groups.values():
-        members.sort()
-        edge_count: dict[tuple[int, int], int] = {}
-        verts: set[int] = set()
-        for fid in members:
-            face = g.face(fid)
-            verts |= face.vertex_set()
-            for e in face.edge_set():
-                edge_count[e] = edge_count.get(e, 0) + 1
-        patches.append(TrianglePatch(
-            size=len(members),
-            face_ids=tuple(members),
-            vertices=frozenset(verts),
-            edges=frozenset(edge_count),
-            boundary_edges=frozenset(e for e, c in edge_count.items() if c == 1)))
-    patches.sort(key=lambda p: p.face_ids)
-    return patches
+    return _Analysis(g).patches
 
 
 def _cycle_of(g: PlaneGraph, c: Cycle | Sequence[int]) -> Cycle:
@@ -248,6 +371,24 @@ def _cycle_of(g: PlaneGraph, c: Cycle | Sequence[int]) -> Cycle:
         if not g.has_edge(u, verts[(i + 1) % len(verts)]):
             raise NotACycle(f"{verts} misses edge at position {i}")
     return Cycle(verts)
+
+
+def _chords_and_shared_neighbors(g: PlaneGraph, verts: Sequence[int],
+                                 pool: frozenset[int]) -> list[tuple[int, ...]]:
+    """Chords (a, b) of a cycle, and (a, b, u) for non-adjacent cycle
+    vertices a, b with a common neighbor u in ``pool``, pair by pair."""
+    m = len(verts)
+    consecutive = {_norm_edge(verts[i], verts[(i + 1) % m]) for i in range(m)}
+    found: list[tuple[int, ...]] = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            a, b = verts[i], verts[j]
+            if not g.has_edge(a, b):
+                found += [(a, b, u) for u in sorted(
+                    set(g.neighbors(a)) & set(g.neighbors(b)) & pool)]
+            elif _norm_edge(a, b) not in consecutive:
+                found.append((a, b))
+    return found
 
 
 def cycle_sides(g: PlaneGraph, cycle: Cycle | Sequence[int]
@@ -264,14 +405,12 @@ def cycle_sides(g: PlaneGraph, cycle: Cycle | Sequence[int]
     stack = [g.outer_face_id]
     while stack:
         f = stack.pop()
-        for u, v in g.face(f).edge_set():
-            f1, f2 = g.faces_at_edge(u, v)
-            other = f2 if f1 == f else f1
-            if other == f:
-                continue
-            want = side[f] ^ (1 if (u, v) in cyc_edges else 0)
+        walk = g.face(f).boundary
+        for i, u in enumerate(walk):
+            v = walk[(i + 1) % len(walk)]
+            other = g.face_of_directed_edge(v, u)
             if other not in side:
-                side[other] = want
+                side[other] = side[f] ^ (_norm_edge(u, v) in cyc_edges)
                 stack.append(other)
     interior: set[int] = set()
     exterior: set[int] = set()
@@ -290,32 +429,16 @@ def classify_cycle(g: PlaneGraph, cycle: Cycle | Sequence[int]
     outer face.
     """
     cyc = _cycle_of(g, cycle)
-    on_cycle = cyc.vertex_set()
-    bad_witnesses = tuple(sorted(
-        u for u in range(g.vertex_count)
-        if u not in on_cycle and g.degree(u) >= 4
-        and sum(1 for w in g.neighbors(u) if w in on_cycle) >= 4))
+    bad_witnesses = _Analysis(g).bad_witnesses(cyc.vertices)
     interior, exterior = cycle_sides(g, cyc)
-    verts = cyc.vertices
-    m = len(verts)
-    consecutive = cyc.edge_set()
-    has_chord = any(g.has_edge(verts[i], verts[j])
-                    and _norm_edge(verts[i], verts[j]) not in consecutive
-                    for i in range(m) for j in range(i + 1, m))
-    cn_witnesses = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = verts[i], verts[j]
-            if g.has_edge(a, b):
-                continue
-            for u in sorted(set(g.neighbors(a)) & set(g.neighbors(b)) & interior):
-                cn_witnesses.append((a, b, u))
+    found = _chords_and_shared_neighbors(g, cyc.vertices, interior)
+    cn_witnesses = [w for w in found if len(w) == 3]
     return CycleClassification(
         cycle=cyc,
         is_bad=bool(bad_witnesses),
         bad_witnesses=bad_witnesses,
         separating=bool(interior) and bool(exterior),
-        has_chord=has_chord,
+        has_chord=len(cn_witnesses) < len(found),
         has_internal_common_neighbor=bool(cn_witnesses),
         common_neighbor_witnesses=tuple(cn_witnesses),
         interior=interior,
@@ -331,80 +454,18 @@ def classify_vertices_and_faces(g: PlaneGraph) -> VertexFaceBadness:
     diamond when some edge-adjacent 3-face shares with it exactly two
     vertices, both of degree 4.
     """
-    adjacency = FaceAdjacency(g)
-    tris = bounded_triangles(g)
-    tri_ids = {f.id for f in tris}
-    at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for f in tris:
-        for v in f.vertex_set():
-            at_vertex[v].append(f.id)
-    bad4, bad5, good5 = set(), set(), set()
-    for v in range(g.vertex_count):
-        fs = at_vertex[v]
-        if g.degree(v) == 4:
-            if len(fs) == 2 and adjacency.adjacent(fs[0], fs[1]):
-                bad4.add(v)
-        elif g.degree(v) == 5:
-            pairs = sum(1 for a, b in itertools.combinations(fs, 2)
-                        if adjacency.adjacent(a, b))
-            if len(fs) == 3 and pairs == 1:
-                bad5.add(v)
-            else:
-                good5.add(v)
-    diamonds = set()
-    for f in tris:
-        for other in adjacency.neighbors(f.id):
-            if other not in tri_ids:
-                continue
-            shared = f.vertex_set() & g.face(other).vertex_set()
-            if len(shared) == 2 and all(g.degree(v) == 4 for v in shared):
-                diamonds.add(f.id)
-                diamonds.add(other)
-    ivs = internal_vertices(g)
-    ifs = internal_faces(g)
-    outer = g.outer_vertices()
-    special: dict[int, frozenset[int]] = {}
-    for f in g.faces:
-        if f.length != 5 or f.id == g.outer_face_id:
-            continue
-        fv = f.vertex_set()
-        found = set()
-        for other in adjacency.neighbors(f.id):
-            if other == g.outer_face_id:
-                continue
-            of = g.face(other)
-            shared_internal = fv & of.vertex_set() & ivs
-            if of.length == 3:
-                if len(shared_internal) == 2 and len(of.vertex_set() & outer) == 1:
-                    found.add(other)
-            elif of.length == 4:
-                if (len(shared_internal) == 2 and len(of.vertex_set() & outer) == 2
-                        and all(g.face(x).length != 3
-                                for x in adjacency.neighbors(other)
-                                if x != g.outer_face_id)):
-                    found.add(other)
-        special[f.id] = frozenset(found)
-    return VertexFaceBadness(
-        bad4=frozenset(bad4),
-        bad5=frozenset(bad5),
-        good5=frozenset(good5),
-        diamond_faces=frozenset(diamonds),
-        triangles_at_vertex=tuple(tuple(sorted(fs)) for fs in at_vertex),
-        internal_vertices=ivs,
-        internal_faces=ifs,
-        special_faces=special)
+    return _Analysis(g).badness
 
 
-def _is_wheel4(vertices: frozenset[int], edges: frozenset[tuple[int, int]],
-               degree_in_patch: dict[int, int]) -> bool:
+def _is_wheel4(p: TrianglePatch) -> bool:
     """Union of 4 triangles isomorphic to the 4-spoke wheel."""
-    if len(vertices) != 5 or len(edges) != 8:
+    if len(p.vertices) != 5 or len(p.edges) != 8:
         return False
-    hubs = [v for v in vertices if degree_in_patch[v] == 4]
+    hubs = [v for v in p.vertices if sum(1 for e in p.edges if v in e) == 4]
     if len(hubs) != 1:
         return False
-    rim = [v for v in vertices if v != hubs[0]]
-    rim_edges = [e for e in edges if hubs[0] not in e]
+    rim = [v for v in p.vertices if v != hubs[0]]
+    rim_edges = [e for e in p.edges if hubs[0] not in e]
     return len(rim_edges) == 4 and all(
         sum(1 for e in rim_edges if r in e) == 2 for r in rim)
 
@@ -416,10 +477,17 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     checks probe the hypotheses the reduction arguments need, and a failure
     only reports the witnesses that make the graph reducible.
     """
-    tag = class_membership(g)
-    adjacency = FaceAdjacency(g)
-    patches = find_triangle_patches(g)
+    an = _Analysis(g)
+    tag = an.tag
+    adjacency = an.adjacency
     reports: list[LemmaReport] = []
+
+    def report(check_id: str, kind: str, witnesses: Sequence) -> None:
+        reports.append(LemmaReport(check_id, kind, not witnesses,
+                                   tuple(witnesses)))
+
+    if tag.in_g1 or tag.in_g2:
+        an.cycles(8 if tag.in_g2 else 7)  # one enumeration for both classes
 
     def lengths_at(fid: int) -> list[tuple[int, int]]:
         return [(n, g.face(n).length) for n in adjacency.neighbors(fid)]
@@ -427,92 +495,68 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     if tag.in_g1:
         w = tuple((f.id, n) for f in g.faces if f.length == 3
                   for n, ln in lengths_at(f.id) if ln == 4)
-        reports.append(LemmaReport("g1-no-3-face-adjacent-to-4-face",
-                                   "theorem", not w, w))
-        big = tuple(p for p in patches if p.size >= 3)
-        reports.append(LemmaReport("g1-no-triangle-patch-3plus",
-                                   "theorem", not big, big))
+        report("g1-no-3-face-adjacent-to-4-face", "theorem", w)
+        big = tuple(p for p in an.patches if p.size >= 3)
+        report("g1-no-triangle-patch-3plus", "theorem", big)
         w2 = []
-        tri_ids = [f.id for f in bounded_triangles(g)]
-        for a, b in itertools.permutations(tri_ids, 2):
-            if not adjacency.adjacent(a, b):
-                continue
-            for n, ln in lengths_at(a):
-                if n != b and ln < 6:
-                    w2.append((a, b, n))
-        reports.append(LemmaReport("g1-adjacent-3-face-pair-neighbors-6plus",
-                                   "theorem", not w2, tuple(w2)))
-        tris_at = classify_vertices_and_faces(g).triangles_at_vertex
+        tri_ids = {f.id for f in an.triangles}
+        for a in sorted(tri_ids):
+            for b in adjacency.neighbors(a):
+                if b in tri_ids:
+                    w2 += [(a, b, n) for n, ln in lengths_at(a)
+                           if n != b and ln < 6]
+        report("g1-adjacent-3-face-pair-neighbors-6plus", "theorem", w2)
+        tris_at = an.badness.triangles_at_vertex
         w3 = tuple(v for v in range(g.vertex_count)
                    if g.degree(v) >= 4 and len(tris_at[v]) > g.degree(v) - 2)
-        reports.append(LemmaReport("g1-vertex-triangle-incidence-bound",
-                                   "theorem", not w3, w3))
-        bad_cycles = tuple(c.vertices for c in enumerate_cycles(g, 7)
-                           if classify_cycle(g, c).is_bad)
-        reports.append(LemmaReport("g1-short-cycles-good",
-                                   "theorem", not bad_cycles, bad_cycles))
+        report("g1-vertex-triangle-incidence-bound", "theorem", w3)
+        bad_cycles = tuple(c.vertices for c in an.cycles(7)
+                           if an.bad_witnesses(c.vertices))
+        report("g1-short-cycles-good", "theorem", bad_cycles)
 
     if tag.in_g2:
-        oversized = tuple(p for p in patches if p.size >= 5)
-        deg_in: dict[int, int] = {}
-        bad_wheels = []
-        for p in patches:
-            if p.size == 4:
-                deg_in = {v: sum(1 for e in p.edges if v in e) for v in p.vertices}
-                if not _is_wheel4(p.vertices, p.edges, deg_in):
-                    bad_wheels.append(p)
-        reports.append(LemmaReport("g2-triangle-patch-size-bound",
-                                   "theorem", not oversized, tuple(oversized)))
-        reports.append(LemmaReport("g2-4-patch-is-wheel",
-                                   "theorem", not bad_wheels, tuple(bad_wheels)))
+        oversized = tuple(p for p in an.patches if p.size >= 5)
+        bad_wheels = [p for p in an.patches if p.size == 4 and not _is_wheel4(p)]
+        report("g2-triangle-patch-size-bound", "theorem", oversized)
+        report("g2-4-patch-is-wheel", "theorem", bad_wheels)
         wp = []
-        for p in patches:
+        for p in an.patches:
             if p.size not in (2, 3, 4):
                 continue
             for u, v in sorted(p.edges):
-                l1 = g.face(g.faces_at_edge(u, v)[0]).length
-                l2 = g.face(g.faces_at_edge(u, v)[1]).length
-                profile = sorted((l1, l2))
+                profile = sorted(g.face(f).length for f in g.faces_at_edge(u, v))
                 if profile != [3, 3] and not (profile[0] == 3 and profile[1] >= 7):
                     wp.append((p.face_ids, (u, v), tuple(profile)))
-        reports.append(LemmaReport("g2-patch-edge-face-profile",
-                                   "theorem", not wp, tuple(wp)))
-        tris_at = classify_vertices_and_faces(g).triangles_at_vertex
+        report("g2-patch-edge-face-profile", "theorem", wp)
+        tris_at = an.badness.triangles_at_vertex
         w3 = tuple(v for v in range(g.vertex_count)
                    if g.degree(v) >= 5 and len(tris_at[v]) > g.degree(v) - 2)
-        reports.append(LemmaReport("g2-vertex-triangle-incidence-bound",
-                                   "theorem", not w3, w3))
+        report("g2-vertex-triangle-incidence-bound", "theorem", w3)
 
-    ivs = internal_vertices(g)
-    low = tuple(sorted(v for v in ivs if g.degree(v) <= 3))
-    reports.append(LemmaReport("internal-min-degree-4", "precondition",
-                               not low, low))
+    low = tuple(sorted(v for v in an.badness.internal_vertices
+                       if g.degree(v) <= 3))
+    report("internal-min-degree-4", "precondition", low)
 
     if tag.in_g1:
-        seps = tuple(c.vertices for c in enumerate_cycles(g, 7)
-                     if classify_cycle(g, c).separating)
-        reports.append(LemmaReport("g1-no-separating-7minus-cycle",
-                                   "precondition", not seps, seps))
+        seps = tuple(c.vertices for c in an.cycles(7)
+                     if an.separates(c.vertices))
+        report("g1-no-separating-7minus-cycle", "precondition", seps)
     if tag.in_g2:
-        seps = tuple(c.vertices for c in enumerate_cycles(g, 8)
-                     if (lambda cc: cc.separating and cc.is_good)
-                     (classify_cycle(g, c)))
-        reports.append(LemmaReport("g2-no-separating-good-8minus-cycle",
-                                   "precondition", not seps, seps))
+        seps = tuple(c.vertices for c in an.cycles(8)
+                     if an.separates(c.vertices)
+                     and not an.bad_witnesses(c.vertices))
+        report("g2-no-separating-good-8minus-cycle", "precondition", seps)
 
-    outer = g.outer_face
-    oc = outer_boundary_report(g)
-    reports.append(oc)
+    reports.append(outer_boundary_report(g))
 
     if tag.in_g2:
-        tags = classify_vertices_and_faces(g)
-        int444 = [f.id for f in g.faces
-                  if f.id in tags.internal_faces and f.length == 3
-                  and all(g.degree(v) == 4 for v in f.vertex_set())]
-        w10 = tuple((a, b) for a, b in itertools.combinations(sorted(int444), 2)
-                    if adjacency.shared_edges(a, b) == 1)
-        reports.append(LemmaReport("no-edge-sharing-internal-444-pair",
-                                   "precondition", not w10, w10))
+        int444 = {f.id for f in an.triangles
+                  if f.id in an.badness.internal_faces
+                  and all(g.degree(v) == 4 for v in f.vertex_set())}
+        w10 = tuple((a, b) for a in sorted(int444)
+                    for b in adjacency.neighbors(a)
+                    if b > a and b in int444 and adjacency.shared_edges(a, b) == 1)
+        report("no-edge-sharing-internal-444-pair", "precondition", w10)
     return reports
 
 
@@ -523,21 +567,10 @@ def outer_boundary_report(g: PlaneGraph) -> LemmaReport:
     non-adjacent boundary vertices u, v share the interior neighbor w.
     """
     boundary = g.outer_face.boundary
-    on_outer = set(boundary)
-    witnesses: list[tuple] = []
-    m = len(boundary)
-    if m >= 3 and len(on_outer) == m:
-        consecutive = {_norm_edge(boundary[i], boundary[(i + 1) % m])
-                       for i in range(m)}
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b = boundary[i], boundary[j]
-                if g.has_edge(a, b) and _norm_edge(a, b) not in consecutive:
-                    witnesses.append((a, b))
-                elif not g.has_edge(a, b):
-                    for u in sorted(set(g.neighbors(a)) & set(g.neighbors(b))
-                                    - on_outer):
-                        witnesses.append((a, b, u))
+    witnesses: list[tuple[int, ...]] = []
+    if len(boundary) >= 3 and len(set(boundary)) == len(boundary):
+        witnesses = _chords_and_shared_neighbors(
+            g, boundary, internal_vertices(g))
     return LemmaReport("outer-chordless-no-shared-interior-neighbor",
                        "precondition", not witnesses, tuple(witnesses))
 
@@ -574,9 +607,10 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
     if common:
         raise CreatesParallelEdge(
             f"{a},{b} share neighbors {sorted(common)} outside the removed set")
-    for c in enumerate_cycles(g, 4):
+    an = _Analysis(g)
+    for c in an.cycles(4):
         if c.length == 4 and {a, b, center_v} <= c.vertex_set():
-            if classify_cycle(g, c).is_bad:
+            if an.bad_witnesses(c.vertices):
                 raise BadFourCyclePresent(f"bad 4-cycle {c.vertices}")
     outer = g.outer_vertices()
     touching = ({center_v, a, b, *other} & outer)

@@ -112,3 +112,55 @@ def degeneracy_order_quadratic(n: int, adj: Sequence[Iterable[int]]) -> list[int
                 degree[u] -= 1
     peeled.reverse()
     return peeled
+
+
+def cycle_sides_face_bfs(g, verts: Sequence[int]
+                         ) -> tuple[frozenset[int], frozenset[int]]:
+    """(interior, exterior) vertex sets of a cycle by two-coloring the faces:
+    crossing a cycle edge flips sides, the outer face is on the exterior."""
+    m = len(verts)
+    on_cycle = set(verts)
+    cyc_edges = {(min(verts[i], verts[(i + 1) % m]),
+                  max(verts[i], verts[(i + 1) % m])) for i in range(m)}
+    side: dict[int, int] = {g.outer_face_id: 0}
+    stack = [g.outer_face_id]
+    while stack:
+        f = stack.pop()
+        for u, v in g.face(f).edge_set():
+            f1, f2 = g.faces_at_edge(u, v)
+            other = f2 if f1 == f else f1
+            if other == f:
+                continue
+            want = side[f] ^ (1 if (u, v) in cyc_edges else 0)
+            if other not in side:
+                side[other] = want
+                stack.append(other)
+    interior: set[int] = set()
+    exterior: set[int] = set()
+    for f in g.faces:
+        bucket = interior if side.get(f.id, 0) else exterior
+        bucket |= f.vertex_set() - on_cycle
+    return frozenset(interior), frozenset(exterior)
+
+
+def bad_witnesses_scan(g, verts: Sequence[int]) -> tuple[int, ...]:
+    """Every vertex off the cycle of degree >= 4 with >= 4 neighbors on it."""
+    on_cycle = set(verts)
+    return tuple(u for u in range(g.vertex_count)
+                 if u not in on_cycle and g.degree(u) >= 4
+                 and sum(1 for w in g.neighbors(u) if w in on_cycle) >= 4)
+
+
+def class_membership_pairwise(cycles: Iterable[Sequence[int]]
+                              ) -> tuple[bool, bool]:
+    """(in g1, in g2): no 4-cycle shares an edge with a 5-cycle, resp. a
+    6-cycle, by comparing every 4-cycle with every 5- and 6-cycle."""
+    by_len: dict[int, list[set[tuple[int, int]]]] = {4: [], 5: [], 6: []}
+    for c in cycles:
+        if len(c) in by_len:
+            by_len[len(c)].append({(min(c[i], c[(i + 1) % len(c)]),
+                                    max(c[i], c[(i + 1) % len(c)]))
+                                   for i in range(len(c))})
+    in_g1 = not any(e4 & e5 for e4 in by_len[4] for e5 in by_len[5])
+    in_g2 = not any(e4 & e6 for e4 in by_len[4] for e6 in by_len[6])
+    return in_g1, in_g2

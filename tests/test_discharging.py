@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dpcolor import (RULESET_G1, RULESET_G2, audit, build_from_rotation,
-                     initial_charges, run_discharging)
+import pytest
+
+from dpcolor import (RULESET_G1, RULESET_G2, Face, PlaneGraph, audit,
+                     build_from_rotation, initial_charges, run_discharging)
+from dpcolor.discharging import DischargingError
 
 
 def test_initial_charges_c7(c7):
@@ -34,6 +37,17 @@ def test_initial_charges_w4(w4):
     assert led[("v", 4)] == 0
     assert all(led[("v", v)] == -1 for v in range(4))
     assert led.total() == 0
+
+
+def test_initial_charges_reject_faces_that_do_not_close(k4):
+    # built through the constructor, past build_from_rotation's checks: the
+    # outer face has lost a corner, so the charges no longer sum to zero
+    faces = tuple(Face(f.id, f.boundary[:-1]) if f.id == k4.outer_face_id
+                  else f for f in k4.faces)
+    broken = PlaneGraph(k4.vertex_count, k4.rotations, faces,
+                        k4.outer_face_id, {})
+    with pytest.raises(DischargingError):
+        initial_charges(broken)
 
 
 def test_c7_g1_run_matches_hand_replay(c7):

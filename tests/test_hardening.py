@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
+
+import dpcolor
 
 from dpcolor import (RULESET_G1, audit, build_from_rotation, class_membership,
                      embed_planar, enumerate_covers, extend_precoloring,
@@ -209,3 +213,13 @@ def test_survey_matches_naive_on_chorded_cycle(k4):
     # and a triangle inside the clique, leaving one vertex to extend
     fast = survey_precoloring_extensions(k4, (0, 1, 2), 4)
     assert fast.all_extendable == _naive_survey_ok(k4, (0, 1, 2), 4)
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert, so none may guard a runtime check
+    root = Path(dpcolor.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

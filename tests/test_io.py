@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from dpcolor import (CorpusSpec, DocumentSyntaxError, NotPlanar,
-                     TooLargeToEmbed, class_membership, corpus_generate,
+from dpcolor import (CorpusSpec, DocumentSyntaxError, GraphDocument,
+                     NotPlanar, TooLargeToEmbed, class_membership,
+                     corpus_generate,
                      document_cover, embed_planar, load_document, parse,
                      parse_graph6, parse_planar_code, parse_rotation_text,
                      serialize_rotation_text)
@@ -47,6 +48,11 @@ def test_rotation_text_errors():
         parse_rotation_text("x\n")
     with pytest.raises(DocumentSyntaxError):
         parse_rotation_text("2\n1\n0\nwhat\n")
+
+
+def test_parse_rejects_document_without_graph():
+    with pytest.raises(DocumentSyntaxError):
+        parse(GraphDocument("graph6", 3))
 
 
 def test_graph6_k4():

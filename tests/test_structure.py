@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from dpcolor import (BadFourCyclePresent, CreatesLoop,
-                     CreatesParallelEdge, NotACycle, NotInternal,
-                     build_from_rotation, class_membership, classify_cycle,
-                     classify_vertices_and_faces, embed_planar,
-                     find_triangle_patches, identify_and_reduce,
-                     verify_structural_lemmas)
-from conftest import make_cycle
+from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
+                     CreatesLoop, CreatesParallelEdge, NotACycle, NotInternal,
+                     audit, build_from_rotation, class_membership,
+                     classify_cycle, classify_vertices_and_faces, cycle_sides,
+                     embed_planar, enumerate_cycles, find_triangle_patches,
+                     identify_and_reduce, structure, verify_structural_lemmas)
+from conftest import make_cycle, triangulated_grid
+from oracles import (bad_witnesses_scan, class_membership_pairwise,
+                     cycle_sides_face_bfs)
 
 
 def wheel(spokes):
@@ -315,3 +317,63 @@ def test_internal_444_pair_reported_as_reducible():
         assert face.length == 3
         assert all(g.degree(v) == 4 for v in face.vertex_set())
     assert len(g.face(f1).edge_set() & g.face(f2).edge_set()) == 1
+
+
+def test_cycle_facts_match_oracles(corpus_n6):
+    # every cycle of length <= 8: the sides against the face two-coloring,
+    # the bad flag against a scan of every vertex, the class tag against the
+    # pairwise definition, and the predicates the checks read against
+    # classify_cycle
+    seen = {"separating": 0, "bad": 0, "cycles": 0}
+    for g in corpus_n6 + [triangulated_grid(5)]:
+        cycles = enumerate_cycles(g, 8)
+        pairwise = class_membership_pairwise(c.vertices for c in cycles)
+        assert class_membership(g) == ClassTag(*pairwise)
+        an = structure._Analysis(g)
+        for c in cycles:
+            interior, exterior = cycle_sides_face_bfs(g, c.vertices)
+            assert cycle_sides(g, c) == (interior, exterior)
+            cc = classify_cycle(g, c)
+            assert (cc.interior, cc.exterior) == (interior, exterior)
+            assert cc.separating == (bool(interior) and bool(exterior))
+            assert cc.bad_witnesses == bad_witnesses_scan(g, c.vertices)
+            assert an.separates(c.vertices) == cc.separating
+            assert an.bad_witnesses(c.vertices) == cc.bad_witnesses
+            seen["separating"] += cc.separating
+            seen["bad"] += cc.is_bad
+            seen["cycles"] += 1
+    assert min(seen.values()) > 0 and seen["separating"] < seen["cycles"]
+
+
+def test_checks_enumerate_cycles_once_past_the_tag(monkeypatch, hex_prism, w4):
+    calls = {"enumerate_cycles": 0, "sides": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(structure, "enumerate_cycles",
+                        counted("enumerate_cycles", structure.enumerate_cycles))
+    monkeypatch.setattr(structure, "cycle_sides",
+                        counted("sides", structure.cycle_sides))
+    monkeypatch.setattr(structure._Analysis, "separates",
+                        counted("sides", structure._Analysis.separates))
+
+    def count(fn, *args):
+        calls.update(enumerate_cycles=0, sides=0)
+        fn(*args)
+        return calls["enumerate_cycles"], calls["sides"]
+
+    grid = triangulated_grid(4)
+    # the tag reads cycles to length 6; members of a class read them once
+    # more, to 7 for g1 alone and to 8 when the graph is in g2
+    assert count(verify_structural_lemmas, grid)[0] == 1       # neither
+    assert count(verify_structural_lemmas, hex_prism)[0] == 2  # g1 only
+    assert count(verify_structural_lemmas, w4)[0] == 2         # g2 only
+    assert count(verify_structural_lemmas, make_cycle(10))[0] == 2  # both
+    # an audit gated on a class the graph lies outside computes no sides
+    for g, ruleset in ((grid, RULESET_G1), (w4, RULESET_G1),
+                       (grid, RULESET_G2), (hex_prism, RULESET_G2)):
+        assert count(audit, g, ruleset) == (1, 0)
