@@ -19,8 +19,9 @@ from . import io as gio
 from .cover import CoverError, cover_graph, diagonal_cover
 from .discharging import RULESETS, audit
 from .plane_graph import PlaneGraphError, enumerate_cycles
-from .solver import (BudgetExceeded, Precoloring, _extension_counts,
-                     dp_chromatic, find_transversal, list_chromatic)
+from .solver import (BudgetExceeded, Precoloring, _check_cycle,
+                     _extension_counts, dp_chromatic, find_transversal,
+                     list_chromatic)
 from .structure import (class_membership, classify_vertices_and_faces,
                         find_triangle_patches, verify_structural_lemmas)
 
@@ -119,8 +120,7 @@ def cmd_extend(args) -> int:
     colors = [int(t) for t in args.colors.split(",")]
     if len(cycle) != len(colors):
         raise gio.DocumentSyntaxError("cycle and colors differ in length")
-    if not all(0 <= v < g.vertex_count for v in cycle):
-        raise ValueError(f"cycle vertices must lie in 0..{g.vertex_count - 1}")
+    _check_cycle(g, cycle)
     if not all(1 <= c <= args.k for c in colors):
         raise ValueError(f"colors must lie in 1..{args.k}")
     pre = Precoloring.of(dict(zip(cycle, colors)))

@@ -305,30 +305,32 @@ class _CoverSweep:
         sigmas = [s for s in self.perms
                   if any(conj[(s, p)] != p for p in self.perms)]
         m = len(self.non_tree)
+        if m == 0:
+            yield ()
+            return
         prefix: list[tuple[int, ...]] = []
-
-        def rec(active: list[tuple[int, ...]]
-                ) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if len(prefix) == m:
-                yield tuple(prefix)
-                return
-            for p in self.perms:
-                nxt = []
-                smaller = False
-                for s in active:
-                    q = conj[(s, p)]
-                    if q < p:
-                        smaller = True
-                        break
-                    if q == p:
-                        nxt.append(s)
-                if smaller:
-                    continue
-                prefix.append(p)
-                yield from rec(nxt)
-                prefix.pop()
-
-        yield from rec(sigmas)
+        # per non-tree edge: the permutations left, the renamings still tied
+        frames = [(iter(self.perms), sigmas)]
+        while frames:
+            p = next(frames[-1][0], None)
+            if p is None:
+                frames.pop()
+                if prefix:
+                    prefix.pop()
+                continue
+            ties = []
+            for s in frames[-1][1]:
+                q = conj[(s, p)]
+                if q < p:
+                    break  # a renaming gives a smaller tuple
+                if q == p:
+                    ties.append(s)
+            else:
+                if len(frames) == m:
+                    yield (*prefix, p)
+                else:
+                    prefix.append(p)
+                    frames.append((iter(self.perms), ties))
 
     def all_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Every non-tree permutation tuple."""

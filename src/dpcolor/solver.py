@@ -146,6 +146,32 @@ def _degeneracy_order(n: int, adj: Sequence[set[int]]) -> list[int]:
     return peeled
 
 
+def _peel(adj: Sequence[frozenset[int]], live: Iterable[int], k: int,
+          keep: Iterable[int] = ()) -> tuple[list[int], frozenset[int]]:
+    """Repeatedly remove the smallest vertex outside ``keep`` with fewer
+    than k live neighbors; the removed vertices in order, and the rest.
+
+    A vertex once removable stays so, so the heap holds exactly the
+    removable vertices and every step takes the smallest of them.
+    """
+    live = set(live)
+    keep = set(keep)
+    degree = {v: len(adj[v] & live) for v in live}
+    heap = [v for v, d in degree.items() if d < k and v not in keep]
+    heapq.heapify(heap)
+    peeled: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        live.discard(v)
+        peeled.append(v)
+        for u in adj[v]:
+            if u in live:
+                degree[u] -= 1
+                if degree[u] == k - 1 and u not in keep:
+                    heapq.heappush(heap, u)
+    return peeled, frozenset(live)
+
+
 def _search_order(n: int, edges: Iterable[tuple[int, int]],
                   first: Sequence[int] = ()) -> list[int]:
     """``first`` as given, then every other vertex in smallest-last order."""
@@ -346,7 +372,9 @@ class _Choosability:
     vertices with degree below k are peeled (they can always be colored
     last), and once every vertex-deleted subgraph is known k-choosable,
     only assignments where each list color reappears on a neighbor can be
-    bad, so all other branches are pruned.
+    bad, so all other branches are pruned.  In the search order, the
+    colors forced at position i are those of each earlier neighbor p
+    whose last neighbor is i that no other neighbor of p carries.
     """
 
     def __init__(self, adj: Sequence[frozenset[int]], k: int, counter: list[int]):
@@ -356,147 +384,118 @@ class _Choosability:
         self.memo: dict[frozenset[int], bool] = {}
 
     def choosable(self, subset: frozenset[int]) -> bool:
-        subset = self._core(subset)
+        # each frame yields the subsets it needs and is sent their verdicts
+        stack = [self._frame(subset)]
+        value = None
+        while True:
+            try:
+                stack.append(self._frame(stack[-1].send(value)))
+                value = None
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+
+    def _frame(self, subset: frozenset[int]) -> Iterator[frozenset[int]]:
+        subset = _peel(self.adj, subset, self.k)[1]
         if not subset:
             return True
         hit = self.memo.get(subset)
         if hit is not None:
             return hit
         comps = self._components(subset)
-        if len(comps) > 1:
-            result = all(self.choosable(c) for c in comps)
-            self.memo[subset] = result
-            return result
+        children = comps if len(comps) > 1 else \
+            (subset - {v} for v in sorted(subset))
         result = True
-        for v in sorted(subset):
-            if not self.choosable(subset - {v}):
+        for child in children:
+            if not (yield child):
                 result = False
                 break
-        if result:
+        if result and len(comps) == 1:
             result = not self._bad_assignment_exists(subset)
         self.memo[subset] = result
         return result
 
-    def _core(self, subset: frozenset[int]) -> frozenset[int]:
-        live = set(subset)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(live):
-                if len(self.adj[v] & live) < self.k:
-                    live.discard(v)
-                    changed = True
-        return frozenset(live)
+    def _reach(self, start: int, subset: frozenset[int]) -> list[int]:
+        """The vertices of ``subset`` reachable from ``start``, in BFS order
+        with neighbors in ascending order."""
+        order = [start]
+        seen = {start}
+        for u in order:
+            for w in sorted(self.adj[u] & subset):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        return order
 
     def _components(self, subset: frozenset[int]) -> list[frozenset[int]]:
         left = set(subset)
         comps = []
         while left:
-            start = min(left)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u] & subset:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(frozenset(seen))
-            left -= seen
+            comps.append(frozenset(self._reach(min(left), subset)))
+            left -= comps[-1]
         return comps
 
     def _bad_assignment_exists(self, subset: frozenset[int]) -> bool:
         k = self.k
-        verts = sorted(subset)
         # BFS order keeps processed vertices adjacent to upcoming ones
-        order = [verts[0]]
-        seen = {verts[0]}
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for w in sorted(self.adj[u] & subset):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
+        order = self._reach(min(subset), subset)
         m = len(order)
         pos = {v: i for i, v in enumerate(order)}
         nbr_pos = [sorted(pos[u] for u in self.adj[v] & subset) for v in order]
+        earlier = [[p for p in nbr_pos[i] if p < i] for i in range(m)]
         last_future = [max((p for p in nbr_pos[i] if p > i), default=-1)
                        for i in range(m)]
-        lists: list[frozenset[int]] = []
-        # pending[(p, c)] = deadline: position p still needs some neighbor
-        # to carry color c; its last chance is the given position
-        pending: dict[tuple[int, int], int] = {}
-
-        # colors never exceed k * m, the most fresh ids the search hands out
+        # lists[i]: bitmask of the colors at position i; colors never exceed
+        # k * m, the most fresh ids the search hands out
+        lists = [0] * m
         same = tuple(1 << c for c in range(k * m + 1))
-        constraints = [[(p, same) for p in nbr_pos[i] if p < i]
-                       for i in range(m)]
+        constraints = [[(p, same) for p in earlier[i]] for i in range(m)]
 
-        def colorable() -> bool:
-            domains = [sum(1 << c for c in cs) for cs in lists]
-            return next(_search(domains, constraints), None) is not None
+        def union(positions: Iterable[int]) -> int:
+            out = 0
+            for p in positions:
+                out |= lists[p]
+            return out
 
-        def candidates(i: int, used: int) -> Iterator[tuple[int, ...]]:
-            earlier = [p for p in nbr_pos[i] if p < i]
-            forced = {c for (p, c), deadline in pending.items()
-                      if deadline == i}
-            if len(forced) > k:
-                return
-            old_pool = [c for c in range(1, used + 1) if c not in forced]
-            forced_t = tuple(sorted(forced))
+        def candidates(i: int, used: int) -> Iterator[tuple[int, int]]:
+            """(list bitmask, highest color id) of each list for position i."""
+            forced = 0
+            for p in earlier[i]:
+                if last_future[p] == i:  # p's other neighbors all precede i
+                    forced |= lists[p] & ~union(nbr_pos[p][:-1])
+            n_forced = bin(forced).count("1")
+            old_pool = [c for c in range(1, used + 1) if not forced >> c & 1]
+            seen_before = union(earlier[i])
             has_future = last_future[i] >= 0
-            for fresh in range(0, k - len(forced) + 1):
+            for fresh in range(0, k - n_forced + 1):
                 if fresh and not has_future:
                     break  # a brand-new color here could never reappear
-                need_old = k - len(forced) - fresh
-                fresh_t = tuple(range(used + 1, used + 1 + fresh))
-                for old in itertools.combinations(old_pool, need_old):
-                    cand = tuple(sorted(forced_t + old + fresh_t))
-                    if not has_future:
-                        # every color must already sit on a processed neighbor
-                        if any(all(c not in lists[p] for p in earlier)
-                               for c in cand):
-                            continue
-                    yield cand
+                fresh_mask = sum(same[used + 1:used + 1 + fresh])
+                for old in itertools.combinations(old_pool, k - n_forced - fresh):
+                    cand = forced | fresh_mask | sum(same[c] for c in old)
+                    # no later neighbor: every color must be on an earlier one
+                    if has_future or not cand & ~seen_before:
+                        yield cand, used + fresh
 
-        def rec_assign(i: int, used: int) -> bool:
+        # stack[i] yields the candidate lists of position i; each pass of
+        # the loop enters one node, at position len(stack)
+        stack: list[Iterator[tuple[int, int]]] = []
+        used = 0
+        while True:
             self.counter[0] -= 1
             if self.counter[0] < 0:
                 raise BudgetExceeded("choosability search budget exhausted")
-            if i == m:
-                return not colorable()
-            earlier = set(p for p in nbr_pos[i] if p < i)
-            for cand in candidates(i, used):
-                cand_set = set(cand)
-                # discharge obligations of earlier neighbors whose color
-                # now appears here
-                discharged = [(key, deadline) for key, deadline in pending.items()
-                              if key[0] in earlier and key[1] in cand_set]
-                for key, _ in discharged:
-                    del pending[key]
-                ok = True
-                added: list[tuple[int, int]] = []
-                for c in cand_set:
-                    if all(c not in lists[p] for p in earlier):
-                        if last_future[i] < 0:
-                            ok = False
-                            break
-                        pending[(i, c)] = last_future[i]
-                        added.append((i, c))
-                if ok:
-                    lists.append(frozenset(cand_set))
-                    if rec_assign(i + 1, max(used, max(cand, default=0))):
-                        return True
-                    lists.pop()
-                for key in added:
-                    del pending[key]
-                for key, deadline in discharged:
-                    pending[key] = deadline
-            return False
-
-        return rec_assign(0, 0)
+            if len(stack) < m:
+                stack.append(candidates(len(stack), used))
+            elif next(_search(lists, constraints), None) is None:
+                return True
+            while stack and (nxt := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
+                return False
+            lists[len(stack) - 1], used = nxt
 
 
 def list_chromatic(g: PlaneGraph, k_max: int, *,
@@ -565,6 +564,16 @@ def _extension_sweep(g: PlaneGraph, k: int, first: Sequence[int],
             for pre in _search(prefix, tables.constraints)]
 
 
+def _check_cycle(g: PlaneGraph, cycle: Sequence[int]) -> tuple[int, ...]:
+    """``cycle`` as a tuple of distinct vertices of ``g``, else ValueError."""
+    cyc = tuple(cycle)
+    if not all(0 <= v < g.vertex_count for v in cyc):
+        raise ValueError(f"cycle vertices must lie in 0..{g.vertex_count - 1}")
+    if len(set(cyc)) != len(cyc):
+        raise ValueError(f"cycle {cyc} repeats a vertex")
+    return cyc
+
+
 def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
                                   mode: str = "exhaustive", *,
                                   samples: int = 500, seed: int = 0,
@@ -578,8 +587,9 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
     seeded covers as sampled :func:`dp_colorable`.  Per cover, the valid
     precolorings are enumerated in ascending order (colors by cycle
     position) and each is extended by a search that fixes the cycle first.
+    ValueError reports a cycle vertex out of range or repeated.
     """
-    cyc = tuple(cycle)
+    cyc = _check_cycle(g, cycle)
     sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
     survey = ExtensionSurvey(mode, cyc, k, 0, 0, **sampling)
     for perms, results in _extension_sweep(g, k, cyc, [(1 << k) - 1] * len(cyc),
@@ -623,20 +633,6 @@ def greedy_extension_order(g: PlaneGraph, cycle: Sequence[int],
     coloring the reversed order always leaves a free color, whatever the
     matchings are, so success makes any per-cover sweep unnecessary.
     """
-    cyc_set = set(cycle)
-    left = {v for v in range(g.vertex_count) if v not in cyc_set}
-    peeled: list[int] = []
-    while left:
-        pick = None
-        for v in sorted(left):
-            constraints = sum(1 for u in g.neighbors(v)
-                              if u in cyc_set or u in left)
-            if constraints <= k - 1:
-                pick = v
-                break
-        if pick is None:
-            return None
-        left.discard(pick)
-        peeled.append(pick)
-    peeled.reverse()
-    return peeled
+    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
+    peeled, rest = _peel(adj, range(g.vertex_count), k, keep=cycle)
+    return None if rest - set(cycle) else peeled[::-1]

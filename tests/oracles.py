@@ -164,3 +164,27 @@ def class_membership_pairwise(cycles: Iterable[Sequence[int]]
     in_g1 = not any(e4 & e5 for e4 in by_len[4] for e5 in by_len[5])
     in_g2 = not any(e4 & e6 for e4 in by_len[4] for e6 in by_len[6])
     return in_g1, in_g2
+
+
+def greedy_extension_order_scan(g, cycle: Sequence[int],
+                                k: int) -> "list[int] | None":
+    """Peel, by a full scan per step, the smallest vertex off the cycle with
+    fewer than k neighbors on the cycle or not yet peeled; None when stuck,
+    else the reversed peeling order."""
+    cyc_set = set(cycle)
+    left = {v for v in range(g.vertex_count) if v not in cyc_set}
+    peeled: list[int] = []
+    while left:
+        pick = None
+        for v in sorted(left):
+            constraints = sum(1 for u in g.neighbors(v)
+                              if u in cyc_set or u in left)
+            if constraints <= k - 1:
+                pick = v
+                break
+        if pick is None:
+            return None
+        left.discard(pick)
+        peeled.append(pick)
+    peeled.reverse()
+    return peeled

@@ -97,6 +97,10 @@ def test_extend_rejects_vacuous_input(c4_file, capsys):
     assert "vacuous" in captured.err and captured.out == ""
     assert main(["extend", c4_file, "--cycle", "0,7", "--colors", "1,2",
                  "--k", "4"]) == 2
+    # a repeated vertex would silently keep only one of its colors
+    assert main(["extend", c4_file, "--cycle", "0,0,1", "--colors", "1,2,1",
+                 "--k", "4"]) == 2
+    assert "repeats" in capsys.readouterr().err
 
 
 def test_extend_exhaustive_budget(k4_file, capsys):

@@ -223,3 +223,24 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_recursion_in_solver_or_cover():
+    # the searches and streams run on explicit stacks, so their depth is
+    # free of the recursion limit; no function may call itself
+    root = Path(dpcolor.__file__).parent
+    found = set()
+    for name in ("solver.py", "cover.py"):
+        for fn in ast.walk(ast.parse((root / name).read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                        isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "self"):
+                    found.add(f"{name}:{fn.name}")
+    assert not found, sorted(found)

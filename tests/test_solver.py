@@ -15,7 +15,7 @@ from dpcolor import (BudgetExceeded, CoverGraph, InconsistentPrecoloring,
 import dpcolor.solver as solver
 from conftest import make_cycle, triangulated_grid
 from oracles import (choosable_bounded_pool, degeneracy_order_quadratic,
-                     has_transversal_brute)
+                     greedy_extension_order_scan, has_transversal_brute)
 
 
 def _check_transversal(h: CoverGraph, t) -> None:
@@ -213,6 +213,24 @@ def test_greedy_extension_order(c6, octahedron):
     assert greedy_extension_order(octahedron, (1, 2, 3, 4), 4) is None
 
 
+def test_greedy_extension_order_matches_scan_oracle(corpus_n6):
+    from dpcolor import enumerate_cycles, greedy_extension_order
+    for g in corpus_n6:
+        for cyc in enumerate_cycles(g, 6):
+            for k in (2, 3, 4):
+                assert greedy_extension_order(g, cyc.vertices, k) \
+                    == greedy_extension_order_scan(g, cyc.vertices, k)
+
+
+@pytest.mark.parametrize("cycle", [(0, 1, 7), (-1, 0), (0, 1, 0)])
+def test_survey_rejects_bad_cycle_vertices(c4, cycle):
+    # an out-of-range or repeated vertex would silently drop a real vertex
+    # from the search order and change the verdict
+    assert not survey_precoloring_extensions(c4, (0, 1, 2), 2).all_extendable
+    with pytest.raises(ValueError):
+        survey_precoloring_extensions(c4, cycle, 2)
+
+
 def _smallest_valid_colors(g, cover, vertices):
     """Greedy smallest colors on ``vertices``, valid under ``cover``."""
     chosen = {}
@@ -267,6 +285,18 @@ def test_large_grid_within_default_recursion_limit():
     face = next(f for f in g.faces if f.id != g.outer_face_id)
     pre = _smallest_valid_colors(g, cover, face.boundary)
     _check_extension(g, cover, pre, extend_precoloring(g, cover, pre))
+
+
+def test_k1_questions_on_large_grid_within_default_recursion_limit():
+    # n = 1024 and beta = 1922: the k = 1 sweep passes its budget check
+    # (1!**beta = 1), so the canonical stream and the list-assignment search
+    # must not recurse per edge or per vertex
+    g = triangulated_grid(32)
+    assert list_chromatic(g, 1) is None
+    assert dp_colorable(g, 1).all_colorable is False
+    assert dp_chromatic(g, 1) is None
+    survey = survey_precoloring_extensions(g, (0, 1, 33), 1)
+    assert survey.covers_checked == 1 and survey.all_extendable
 
 
 def test_dp_colorable_rechecks_counterexample(c4, monkeypatch):

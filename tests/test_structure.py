@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
@@ -228,20 +230,12 @@ def test_identify_not_internal():
 
 
 def test_identify_bad_four_cycle():
-    # center 0 with ring 1..4 where 1,3 sit on a bad 4-cycle through 0
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 0)]
-    edges += [(1, 2), (2, 3), (3, 4), (4, 1)]
-    g = embed_planar(6, edges)
-    # cycle (1, 0, 3, 4): vertex 2 off-cycle would need degree 4
-    cc = classify_cycle(g, (0, 1, 4, 3))
-    # construct guarantees nothing bad here; just exercise the search path
-    try:
-        identify_and_reduce(g, 0, tuple(sorted((g.neighbors(0)[0],
-                                                g.neighbors(0)[2]))),
-                            mode=None)
-    except (CreatesLoop, CreatesParallelEdge, BadFourCyclePresent,
-            NotInternal):
-        pass
+    # K5 less the edge 2-4: merging 2 and 4 across the center 0 is refused,
+    # since 0, 2, 1, 4 bound a bad 4-cycle
+    g = embed_planar(5, [e for e in itertools.combinations(range(5), 2)
+                         if e != (2, 4)])
+    with pytest.raises(BadFourCyclePresent):
+        identify_and_reduce(g, 0, (2, 4), mode=None)
 
 
 def test_identify_mode_checks_class():
