@@ -13,6 +13,7 @@ Floating point is never used; all amounts are fractions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
@@ -94,44 +95,14 @@ class TransferLog:
         return [t.line() for t in self.entries]
 
 
-class _Context:
-    """Everything the rules read: graph, tags, adjacency, live charges."""
-
-    def __init__(self, an: _Analysis, tags: VertexFaceBadness):
-        self.g = an.g
-        self.tags = tags
-        self.adjacency = an.adjacency
-        self.outer = self.g.outer_face_id
-        self.outer_verts = self.g.outer_vertices()
-        self.tris = an.triangles
-        self.tri_ids = frozenset(f.id for f in self.tris)
-        self.charges: dict[Element, Fraction] = {}
-
-    def face_len(self, fid: int) -> int:
-        return self.g.face(fid).length
-
-    def is_internal_face(self, fid: int) -> bool:
-        return fid in self.tags.internal_faces
-
-    def is_444(self, fid: int) -> bool:
-        return (fid in self.tri_ids
-                and all(self.g.degree(v) == 4
-                        for v in self.g.face(fid).vertex_set()))
-
-    def non_internal_tris(self) -> list[int]:
-        return [f.id for f in self.tris
-                if f.vertex_set() & self.outer_verts]
-
-    def degree(self, v: int) -> int:
-        return self.g.degree(v)
-
-
-RuleEmit = Callable[[_Context], Iterator[Transfer]]
+Charges = dict[Element, Fraction]
+RuleEmit = Callable[[_Analysis, Charges], Iterator[Transfer]]
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One numbered discharging rule: a guarded sender/receiver/amount recipe."""
+    """One numbered discharging rule: a guarded sender/receiver/amount
+    recipe that reads the graph's analysis and the live charges."""
 
     id: str
     description: str
@@ -145,60 +116,60 @@ class RuleSet:
     surplus_rule_id: str
 
 
+def _outer_collects(rule_id: str, per_triangle: Fraction) -> RuleEmit:
+    def emit(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+        g = an.g
+        outer: Element = ("f", g.outer_face_id)
+        for v in sorted(g.outer_vertices()):
+            yield Transfer(rule_id, ("v", v), outer, Fraction(g.degree(v) - 4))
+        for fid in an.outer_triangles:
+            yield Transfer(rule_id, outer, ("f", fid), per_triangle)
+    return emit
+
+
+def _surplus(rule_id: str, min_len: int) -> RuleEmit:
+    def emit(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+        outer: Element = ("f", an.g.outer_face_id)
+        for f in an.bounded_faces(min_len):
+            bal = charges[("f", f.id)]
+            if bal > 0:
+                yield Transfer(rule_id, ("f", f.id), outer, bal)
+    return emit
+
+
 # -- G1 rules ---------------------------------------------------------------
 
 
-def _g1_r1(ctx: _Context) -> Iterator[Transfer]:
-    for v in range(ctx.g.vertex_count):
-        if v in ctx.outer_verts or ctx.degree(v) < 5:
+def _g1_r1(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    g = an.g
+    for v in sorted(an.badness.internal_vertices):
+        if g.degree(v) < 5:
             continue
-        fs = ctx.tags.triangles_at_vertex[v]
+        fs = an.badness.triangles_at_vertex[v]
         if not fs:
             continue  # no incident 3-face: the vertex keeps its charge
-        share = Fraction(ctx.degree(v) - 4, len(fs))
+        share = Fraction(g.degree(v) - 4, len(fs))
         for fid in fs:
             yield Transfer("R1", ("v", v), ("f", fid), share)
 
 
-def _g1_r2(ctx: _Context) -> Iterator[Transfer]:
-    for f in ctx.g.faces:
-        if f.id == ctx.outer or f.length != 5:
-            continue
-        for fid in ctx.adjacency.neighbors(f.id):
-            if fid in ctx.tri_ids and ctx.is_internal_face(fid):
-                amt = Fraction(1, 3) if ctx.is_444(fid) else Fraction(1, 6)
+def _g1_r2(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    for f in an.bounded_faces(5, 5):
+        for fid in an.adjacency.neighbors(f.id):
+            if fid in an.internal_triangles:
+                amt = (Fraction(1, 3) if fid in an.all4_triangles
+                       else Fraction(1, 6))
                 yield Transfer("R2", ("f", f.id), ("f", fid), amt)
 
 
-def _g1_r3(ctx: _Context) -> Iterator[Transfer]:
-    for f in ctx.g.faces:
-        if f.id == ctx.outer or f.length < 6:
-            continue
-        for fid in ctx.adjacency.neighbors(f.id):
-            if fid in ctx.tri_ids and ctx.is_internal_face(fid):
-                t = ctx.adjacency.shared_edges(f.id, fid)
-                rate = Fraction(1, 2) if fid in ctx.tags.diamond_faces \
-                    else Fraction(1, 3)
+def _g1_r3(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    for f in an.bounded_faces(6):
+        for fid in an.adjacency.neighbors(f.id):
+            if fid in an.internal_triangles:
+                t = an.adjacency.shared_edges(f.id, fid)
+                rate = (Fraction(1, 2) if fid in an.badness.diamond_faces
+                        else Fraction(1, 3))
                 yield Transfer("R3", ("f", f.id), ("f", fid), rate * t)
-
-
-def _g1_r4(ctx: _Context) -> Iterator[Transfer]:
-    for v in sorted(ctx.outer_verts):
-        yield Transfer("R4", ("v", v), ("f", ctx.outer),
-                       Fraction(ctx.degree(v) - 4))
-    for fid in ctx.non_internal_tris():
-        yield Transfer("R4", ("f", ctx.outer), ("f", fid), Fraction(1))
-
-
-def _surplus(rule_id: str, min_len: int) -> RuleEmit:
-    def emit(ctx: _Context) -> Iterator[Transfer]:
-        for f in ctx.g.faces:
-            if f.id == ctx.outer or f.length < min_len:
-                continue
-            bal = ctx.charges[("f", f.id)]
-            if bal > 0:
-                yield Transfer(rule_id, ("f", f.id), ("f", ctx.outer), bal)
-    return emit
 
 
 RULESET_G1 = RuleSet("G1", (
@@ -209,7 +180,7 @@ RULESET_G1 = RuleSet("G1", (
     Rule("R3", "6+-face pays t/2 per adjacent internal diamond 3-face, "
                "t/3 otherwise (t = shared edges)", _g1_r3),
     Rule("R4", "outer face collects d(v)-4 from its vertices and pays 1 "
-               "per non-internal 3-face", _g1_r4),
+               "per non-internal 3-face", _outer_collects("R4", Fraction(1))),
     Rule("R5", "every bounded face sends its positive balance to the outer "
                "face", _surplus("R5", 0)),
 ), surplus_rule_id="R5")
@@ -218,17 +189,16 @@ RULESET_G1 = RuleSet("G1", (
 # -- G2 rules ---------------------------------------------------------------
 
 
-def _g2_r1(ctx: _Context) -> Iterator[Transfer]:
-    for v in range(ctx.g.vertex_count):
-        if v in ctx.outer_verts:
-            continue
-        d = ctx.degree(v)
-        fs = ctx.tags.triangles_at_vertex[v]
+def _g2_r1(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    g, tags = an.g, an.badness
+    for v in sorted(tags.internal_vertices):
+        d = g.degree(v)
+        fs = tags.triangles_at_vertex[v]
         if d >= 6:
             for fid in fs:
                 yield Transfer("R1", ("v", v), ("f", fid), Fraction(1, 2))
-        elif d == 5 and v in ctx.tags.bad5:
-            isolated = ctx.tags.isolated_triangles_at(v, ctx.adjacency)
+        elif d == 5 and v in tags.bad5:
+            isolated = tags.isolated_triangles_at(v, an.adjacency)
             for fid in fs:
                 amt = Fraction(1, 4) if fid in isolated else Fraction(3, 8)
                 yield Transfer("R1", ("v", v), ("f", fid), amt)
@@ -238,59 +208,45 @@ def _g2_r1(ctx: _Context) -> Iterator[Transfer]:
                 yield Transfer("R1", ("v", v), ("f", fid), share)
 
 
-def _g2_r2(ctx: _Context) -> Iterator[Transfer]:
-    for f in ctx.g.faces:
-        if f.id == ctx.outer or f.length != 5:
-            continue
-        special = ctx.tags.special_faces.get(f.id, frozenset())
-        for fid in ctx.adjacency.neighbors(f.id):
-            if fid == ctx.outer:
-                continue
-            ln = ctx.face_len(fid)
-            if ln == 3 and ctx.is_internal_face(fid) and ctx.is_444(fid):
+def _g2_r2(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    g = an.g
+    for f in an.bounded_faces(5, 5):
+        special = an.badness.special_faces.get(f.id, frozenset())
+        for fid in an.adjacency.neighbors(f.id):
+            if fid in an.internal_triangles and fid in an.all4_triangles:
                 yield Transfer("R2", ("f", f.id), ("f", fid), Fraction(1, 3))
-            elif ln in (3, 4) and fid not in special:
+            elif (fid != g.outer_face_id and g.face(fid).length in (3, 4)
+                  and fid not in special):
                 yield Transfer("R2", ("f", f.id), ("f", fid), Fraction(1, 6))
 
 
-def _g2_r3(ctx: _Context) -> Iterator[Transfer]:
-    for f in ctx.g.faces:
-        if f.id == ctx.outer or f.length not in (4, 6):
+def _g2_r3(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    for f in an.bounded_faces(4, 6):
+        if f.length == 5:
             continue
-        for fid in ctx.adjacency.neighbors(f.id):
-            if fid in ctx.tri_ids:
+        for fid in an.adjacency.neighbors(f.id):
+            if fid in an.triangle_ids:
                 yield Transfer("R3", ("f", f.id), ("f", fid), Fraction(1, 3))
 
 
-def _g2_r4(ctx: _Context) -> Iterator[Transfer]:
-    for f in ctx.g.faces:
-        if f.id == ctx.outer or f.length < 7:
-            continue
+def _g2_r4(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
+    g = an.g
+    for f in an.bounded_faces(7):
         fv = f.vertex_set()
-        for fid in ctx.adjacency.neighbors(f.id):
-            if fid == ctx.outer:
+        for fid in an.adjacency.neighbors(f.id):
+            ln = g.face(fid).length
+            if fid == g.outer_face_id or ln not in (3, 4):
                 continue
-            ln = ctx.face_len(fid)
-            if ln not in (3, 4):
-                continue
-            t = ctx.adjacency.shared_edges(f.id, fid)
+            t = an.adjacency.shared_edges(f.id, fid)
             if ln == 4:
                 rate = Fraction(3, 7)
             else:
-                shared_bad = len(fv & ctx.g.face(fid).vertex_set()
-                                 & ctx.tags.bad4)
+                shared_bad = len(fv & g.face(fid).vertex_set()
+                                 & an.badness.bad4)
                 rate = (Fraction(6, 7) if shared_bad >= 2
                         else Fraction(9, 14) if shared_bad == 1
                         else Fraction(3, 7))
             yield Transfer("R4", ("f", f.id), ("f", fid), rate * t)
-
-
-def _g2_r5(ctx: _Context) -> Iterator[Transfer]:
-    for v in sorted(ctx.outer_verts):
-        yield Transfer("R5", ("v", v), ("f", ctx.outer),
-                       Fraction(ctx.degree(v) - 4))
-    for fid in ctx.non_internal_tris():
-        yield Transfer("R5", ("f", ctx.outer), ("f", fid), Fraction(5, 7))
 
 
 RULESET_G2 = RuleSet("G2", (
@@ -303,7 +259,8 @@ RULESET_G2 = RuleSet("G2", (
     Rule("R4", "7+-face pays 6t/7, 9t/14 or 3t/7 per adjacent small face "
                "by shared bad-4-vertex count (t = shared edges)", _g2_r4),
     Rule("R5", "outer face collects d(v)-4 from its vertices and pays 5/7 "
-               "per non-internal 3-face", _g2_r5),
+               "per non-internal 3-face",
+         _outer_collects("R5", Fraction(5, 7))),
     Rule("R6", "every bounded 5+-face sends its positive balance to the "
                "outer face", _surplus("R6", 5)),
 ), surplus_rule_id="R6")
@@ -338,28 +295,26 @@ def run_discharging(g: PlaneGraph, ruleset: RuleSet,
 
     Within a phase, senders fire in element-id order, receivers in id
     order, so the log is reproducible; replaying it over the initial
-    ledger reconstructs the final ledger exactly.
+    ledger reconstructs the final ledger exactly.  Supplied ``tags`` stand
+    in for the graph's own vertex and face tags.
     """
     an = _Analysis(g)
-    if tags is None:
-        tags = an.badness
-    elif len(tags.triangles_at_vertex) != g.vertex_count:
-        raise TagUnavailable("tags were computed for a different graph")
-    return _discharge(an, ruleset, tags)
+    if tags is not None:
+        if len(tags.triangles_at_vertex) != g.vertex_count:
+            raise TagUnavailable("tags were computed for a different graph")
+        an.badness = tags
+    return _discharge(an, ruleset, initial_charges(g))
 
 
-def _discharge(an: _Analysis, ruleset: RuleSet, tags: VertexFaceBadness
+def _discharge(an: _Analysis, ruleset: RuleSet, initial: ChargeLedger
                ) -> tuple[ChargeLedger, TransferLog]:
-    ctx = _Context(an, tags)
-    led = initial_charges(an.g).copy("post-rules")
-    ctx.charges = led.charges
+    led = initial.copy("final")
     entries: list[Transfer] = []
     for rule in ruleset.rules:
-        for t in rule.emit(ctx):
+        for t in rule.emit(an, led.charges):
             led.charges[t.sender] -= t.amount
             led.charges[t.receiver] += t.amount
             entries.append(t)
-    led.stage = "final"
     return led, TransferLog(tuple(entries))
 
 
@@ -392,6 +347,13 @@ class OuterAccounting:
 
 @dataclass
 class DischargingReport:
+    """One audited run.
+
+    ``per_rule_balanced`` is True by construction: every transfer takes its
+    amount from one element and gives it to another, so each rule sends
+    exactly what it receives.
+    """
+
     ruleset_id: str
     initial: ChargeLedger
     final: ChargeLedger
@@ -414,29 +376,20 @@ class DischargingReport:
 def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     """Run the ruleset and cross-check everything checkable.
 
-    Conservation, log replay and per-rule balance are always verified.
-    The outer-face accounting identities and the compensation lower bounds
-    are evaluated only when their structural hypotheses hold for ``g``
-    (they come from arguments about highly constrained embeddings and are
-    simply not claims about arbitrary graphs).
+    Conservation and log replay are always verified.  The outer-face
+    accounting identities and the compensation lower bounds are evaluated
+    only when their structural hypotheses hold for ``g`` (they come from
+    arguments about highly constrained embeddings and are simply not
+    claims about arbitrary graphs).
     """
     an = _Analysis(g)
-    tags = an.badness
-    final, log = _discharge(an, ruleset, tags)
+    tags, tag = an.badness, an.tag
     initial = initial_charges(g)
-    tag = an.tag
+    final, log = _discharge(an, ruleset, initial)
+    by_rule = log.by_rule()
 
     conservation_ok = initial.total() == 0 and final.total() == 0
     replay_ok = log.replay(initial).charges == final.charges
-    per_rule = True
-    for rule_id, ts in log.by_rule().items():
-        sent: dict[Element, Fraction] = {}
-        received: dict[Element, Fraction] = {}
-        for t in ts:
-            sent[t.sender] = sent.get(t.sender, Fraction(0)) + t.amount
-            received[t.receiver] = received.get(t.receiver, Fraction(0)) + t.amount
-        if sum(sent.values(), Fraction(0)) != sum(received.values(), Fraction(0)):
-            per_rule = False
 
     negative = tuple((e, q) for e, q in sorted(final.charges.items()) if q < 0)
     outer_id = g.outer_face_id
@@ -452,15 +405,15 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     s = len(cross_edges)
     tri_edges = {e for f in an.triangles for e in f.edge_set()}
     s_prime = sum(1 for e in cross_edges if e not in tri_edges)
-    non_internal = [f.id for f in an.triangles if f.vertex_set() & outer_verts]
-    f3 = len(non_internal)
-    rpatches = _face_groups(an.adjacency, non_internal)
+    f3 = len(an.outer_triangles)
+    rpatches = _face_groups(an.adjacency, an.outer_triangles)
     t1 = sum(1 for p in rpatches if len(p) == 1)
     t2 = sum(1 for p in rpatches if len(p) == 2)
-    touching = set(non_internal)
+    touching = set(an.outer_triangles)
     f3_prime = sum(1 for p in an.patches if touching.issuperset(p.face_ids))
-    surplus = {t.sender[1]: t.amount for t in log.entries
-               if t.rule == ruleset.surplus_rule_id and t.receiver == outer_elem}
+    surplus = {t.sender[1]: t.amount
+               for t in by_rule.get(ruleset.surplus_rule_id, ())
+               if t.receiver == outer_elem}
     b = sum(surplus.values(), Fraction(0))
     k = s - f3
     acct = OuterAccounting(d_outer, s, s_prime, f3, f3_prime, t1, t2, b, k)
@@ -495,6 +448,12 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
             acct.g2_identity_holds = (s == s_prime + f3 + f3_prime)
 
     checks: list[BoundCheck] = []
+
+    def check(check_id: str, applicable: bool, violations: list) -> None:
+        checks.append(BoundCheck(check_id, applicable,
+                                 not violations if applicable else None,
+                                 tuple(violations)))
+
     ivs = tags.internal_vertices
     min_deg_ok = all(g.degree(v) >= 4 for v in ivs)
     has_interior = bool(ivs)
@@ -504,30 +463,21 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
                       and chordless and boundary_simple and d_outer >= 5
                       and not any(an.separates(c.vertices)
                                   for c in an.cycles(7)))
-        holds = None
-        viol: tuple = ()
+        viol = []
         if applicable:
             bound = (Fraction(d_outer, 3) if k == 1
                      else Fraction(d_outer - k, 3))
-            holds = k >= 1 and b >= bound
-            if not holds:
-                viol = ((k, b, bound),)
-        checks.append(BoundCheck("g1-outer-compensation", applicable,
-                                 holds, viol))
+            if not (k >= 1 and b >= bound):
+                viol.append((k, b, bound))
+        check("g1-outer-compensation", applicable, viol)
         # every internal 3-face receives >= 1/3 from each incident
         # 5+-vertex, provided that vertex obeys the incidence bound
-        r1viol = []
-        if tag.in_g1:
-            for t in log.by_rule().get("R1", ()):
-                v = t.sender[1]
-                if (t.receiver[1] in tags.internal_faces
-                        and len(tags.triangles_at_vertex[v])
-                        <= g.degree(v) - 2
-                        and t.amount < Fraction(1, 3)):
-                    r1viol.append(t)
-        checks.append(BoundCheck("g1-vertex-share-floor", tag.in_g1,
-                                 (not r1viol) if tag.in_g1 else None,
-                                 tuple(r1viol)))
+        check("g1-vertex-share-floor", tag.in_g1, [
+            t for t in by_rule.get("R1", ()) if tag.in_g1
+            and t.receiver[1] in an.internal_triangles
+            and (len(tags.triangles_at_vertex[t.sender[1]])
+                 <= g.degree(t.sender[1]) - 2)
+            and t.amount < Fraction(1, 3)])
 
     if ruleset.id == "G2":
         applicable = (tag.in_g2 and has_interior and min_deg_ok and chordless
@@ -536,13 +486,9 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
                       and not any(an.separates(c.vertices)
                                   and not an.bad_witnesses(c.vertices)
                                   for c in an.cycles(8)))
-        share_viol = []
-        comp_holds = None
-        comp_viol: tuple = ()
+        share_viol, comp_viol = [], []
         if applicable:
-            for f in g.faces:
-                if f.id == outer_id or f.length < 5:
-                    continue
+            for f in an.bounded_faces(5):
                 kf = an.adjacency.shared_edges(f.id, outer_id)
                 if kf == 0:
                     continue
@@ -553,28 +499,17 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
                 if sent < floor:
                     share_viol.append((f.id, kf, sent, floor))
             comp_bound = Fraction(d_outer - 3 * f3_prime - s_prime, 3)
-            comp_holds = b >= comp_bound
-            if not comp_holds:
-                comp_viol = ((b, comp_bound),)
-        checks.append(BoundCheck("g2-face-share-lower-bounds", applicable,
-                                 (not share_viol) if applicable else None,
-                                 tuple(share_viol)))
-        checks.append(BoundCheck("g2-outer-compensation", applicable,
-                                 comp_holds, comp_viol))
+            if b < comp_bound:
+                comp_viol.append((b, comp_bound))
+        check("g2-face-share-lower-bounds", applicable, share_viol)
+        check("g2-outer-compensation", applicable, comp_viol)
         # total sent by each 7+-face under R4 is at most 3/7 of its length
-        carry_viol = []
-        if tag.in_g2:
-            sent_by_face: dict[int, Fraction] = {}
-            for t in log.by_rule().get("R4", ()):
-                sent_by_face[t.sender[1]] = (sent_by_face.get(t.sender[1],
-                                                              Fraction(0))
-                                             + t.amount)
-            for fid, total in sent_by_face.items():
-                if total > Fraction(3 * g.face(fid).length, 7):
-                    carry_viol.append((fid, total))
-        checks.append(BoundCheck("g2-edge-carry-bound", tag.in_g2,
-                                 (not carry_viol) if tag.in_g2 else None,
-                                 tuple(carry_viol)))
+        sent_by_face: Counter[int] = Counter()
+        for t in by_rule.get("R4", ()) if tag.in_g2 else ():
+            sent_by_face[t.sender[1]] += t.amount
+        check("g2-edge-carry-bound", tag.in_g2, [
+            (fid, total) for fid, total in sent_by_face.items()
+            if total > Fraction(3 * g.face(fid).length, 7)])
 
     return DischargingReport(
         ruleset_id=ruleset.id,
@@ -586,5 +521,5 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
         bound_checks=checks,
         conservation_ok=conservation_ok,
         replay_ok=replay_ok,
-        per_rule_balanced=per_rule,
+        per_rule_balanced=True,
         nonneg_with_positive_outer=combo)

@@ -312,26 +312,29 @@ def enumerate_cycles(g: PlaneGraph, max_len: int) -> list[Cycle]:
         return []
     adj = [sorted(g.neighbors(v)) for v in range(g.vertex_count)]
     out: list[Cycle] = []
-    path: list[int] = []
     on_path = [False] * g.vertex_count
-
-    def extend(root: int, u: int) -> None:
-        for w in adj[u]:
-            if w == root and len(path) >= 3:
-                if path[1] < path[-1]:
-                    out.append(Cycle(tuple(path)))
-            elif w > root and not on_path[w] and len(path) < max_len:
-                path.append(w)
-                on_path[w] = True
-                extend(root, w)
-                on_path[w] = False
-                path.pop()
-
     for root in range(g.vertex_count):
+        # simple paths up from the root, on an explicit stack; each one
+        # closes into a cycle when its end is adjacent to the root
         path = [root]
-        on_path[root] = True
-        extend(root, root)
-        on_path[root] = False
+        closing = set(adj[root])
+        stack = [iter(adj[root])]
+        while stack:
+            for w in stack[-1]:
+                if w > root and not on_path[w]:
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+                continue
+            path.append(w)
+            if len(path) >= 3 and path[1] < w and w in closing:
+                out.append(Cycle(tuple(path)))
+            if len(path) < max_len:
+                on_path[w] = True
+                stack.append(iter(adj[w]))
+            else:
+                path.pop()
     out.sort(key=lambda c: (c.length, c.vertices))
     return out
 

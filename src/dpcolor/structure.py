@@ -10,6 +10,7 @@ stored outer face.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -171,10 +172,6 @@ def internal_faces(g: PlaneGraph) -> frozenset[int]:
                      if f.id != g.outer_face_id and not (f.vertex_set() & outer))
 
 
-def bounded_triangles(g: PlaneGraph) -> list[Face]:
-    return [f for f in g.faces if f.length == 3 and f.id != g.outer_face_id]
-
-
 def _face_groups(adjacency: FaceAdjacency, face_ids: Iterable[int]
                  ) -> list[list[int]]:
     """Connected groups, by shared edges, of a set of faces; each group is
@@ -198,7 +195,9 @@ class _Analysis:
     """The derived structural facts of one graph, each computed at most once.
 
     Every public check builds one for its own call and drops it on return;
-    nothing is kept on the graph or in the module.
+    nothing is kept on the graph or in the module.  ``badness`` may be set
+    before first use, as run_discharging does with supplied tags; the
+    internal triangles then follow those tags.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -220,7 +219,33 @@ class _Analysis:
 
     @cached_property
     def triangles(self) -> list[Face]:
-        return bounded_triangles(self.g)
+        return self.bounded_faces(3, 3)
+
+    @cached_property
+    def triangle_ids(self) -> frozenset[int]:
+        return frozenset(f.id for f in self.triangles)
+
+    @cached_property
+    def internal_triangles(self) -> frozenset[int]:
+        """Bounded 3-faces the tags count as internal."""
+        return self.triangle_ids & self.badness.internal_faces
+
+    @cached_property
+    def all4_triangles(self) -> frozenset[int]:
+        """Bounded 3-faces whose three vertices all have degree 4."""
+        return frozenset(f.id for f in self.triangles
+                         if all(self.g.degree(v) == 4 for v in f.vertex_set()))
+
+    @cached_property
+    def outer_triangles(self) -> tuple[int, ...]:
+        """Bounded 3-faces with a vertex on the outer face, in id order."""
+        outer = self.g.outer_vertices()
+        return tuple(f.id for f in self.triangles if f.vertex_set() & outer)
+
+    def bounded_faces(self, lo: int = 0, hi: float = math.inf) -> list[Face]:
+        """Bounded faces of length lo..hi, in id order."""
+        return [f for f in self.g.faces
+                if lo <= f.length <= hi and f.id != self.g.outer_face_id]
 
     @cached_property
     def tag(self) -> ClassTag:
@@ -255,7 +280,6 @@ class _Analysis:
     @cached_property
     def badness(self) -> VertexFaceBadness:
         g, adjacency = self.g, self.adjacency
-        tri_ids = {f.id for f in self.triangles}
         at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
         for f in self.triangles:
             for v in f.vertex_set():
@@ -276,7 +300,7 @@ class _Analysis:
         diamonds = set()
         for f in self.triangles:
             for other in adjacency.neighbors(f.id):
-                if other not in tri_ids:
+                if other not in self.triangle_ids:
                     continue
                 shared = f.vertex_set() & g.face(other).vertex_set()
                 if len(shared) == 2 and all(g.degree(v) == 4 for v in shared):
@@ -285,9 +309,7 @@ class _Analysis:
         ivs = internal_vertices(g)
         outer = g.outer_vertices()
         special: dict[int, frozenset[int]] = {}
-        for f in g.faces:
-            if f.length != 5 or f.id == g.outer_face_id:
-                continue
+        for f in self.bounded_faces(5, 5):
             fv = f.vertex_set()
             found = set()
             for other in adjacency.neighbors(f.id):
@@ -499,10 +521,9 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
         big = tuple(p for p in an.patches if p.size >= 3)
         report("g1-no-triangle-patch-3plus", "theorem", big)
         w2 = []
-        tri_ids = {f.id for f in an.triangles}
-        for a in sorted(tri_ids):
+        for a in sorted(an.triangle_ids):
             for b in adjacency.neighbors(a):
-                if b in tri_ids:
+                if b in an.triangle_ids:
                     w2 += [(a, b, n) for n, ln in lengths_at(a)
                            if n != b and ln < 6]
         report("g1-adjacent-3-face-pair-neighbors-6plus", "theorem", w2)
@@ -550,9 +571,7 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     reports.append(outer_boundary_report(g))
 
     if tag.in_g2:
-        int444 = {f.id for f in an.triangles
-                  if f.id in an.badness.internal_faces
-                  and all(g.degree(v) == 4 for v in f.vertex_set())}
+        int444 = an.internal_triangles & an.all4_triangles
         w10 = tuple((a, b) for a in sorted(int444)
                     for b in adjacency.neighbors(a)
                     if b > a and b in int444 and adjacency.shared_edges(a, b) == 1)

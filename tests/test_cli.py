@@ -6,6 +6,7 @@ import pytest
 
 from dpcolor.cli import main
 from dpcolor import serialize_rotation_text
+from conftest import make_cycle
 
 
 @pytest.fixture()
@@ -28,11 +29,16 @@ def test_faces_command(c4_file, capsys):
     assert "(outer)" in out and out.count("face ") == 2
 
 
-def test_cycles_command(k4_file, capsys):
+def test_cycles_command(k4_file, tmp_path, capsys):
     assert main(["cycles", k4_file, "--max", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("cycle len 3") == 4
     assert out.count("cycle len 4") == 3
+    # a cycle longer than the default recursion limit, at its whole length
+    p = tmp_path / "c1200.rot"
+    p.write_text(serialize_rotation_text(make_cycle(1200)))
+    assert main(["cycles", str(p), "--max", "1200"]) == 0
+    assert capsys.readouterr().out.startswith("cycle len 1200: 0 1 2 ")
 
 
 def test_class_command(c4_file, capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dpcolor import (RULESET_G1, RULESET_G2, Face, PlaneGraph, audit,
-                     build_from_rotation, initial_charges, run_discharging)
+from dpcolor import (RULESET_G1, RULESET_G2, Face, PlaneGraph, TagUnavailable,
+                     audit, build_from_rotation, classify_vertices_and_faces,
+                     initial_charges, run_discharging)
 from dpcolor.discharging import DischargingError
 
 
@@ -81,6 +82,21 @@ def test_replay_deterministic(w4, octahedron):
             b = run_discharging(g, ruleset)
             assert a[1].entries == b[1].entries
             assert a[0].charges == b[0].charges
+
+
+def test_supplied_tags_drive_the_rules(corpus_n6, k4, octahedron):
+    # the graph's own tags, passed in, reproduce the default run exactly
+    for g in corpus_n6:
+        tags = classify_vertices_and_faces(g)
+        for ruleset in (RULESET_G1, RULESET_G2):
+            final, log = run_discharging(g, ruleset)
+            final_t, log_t = run_discharging(g, ruleset, tags=tags)
+            assert final_t.lines() == final.lines()
+            assert log_t.lines() == log.lines()
+    # tags of another graph do not fit
+    with pytest.raises(TagUnavailable):
+        run_discharging(k4, RULESET_G1, tags=classify_vertices_and_faces(
+            octahedron))
 
 
 def test_audit_basics(corpus_n6):

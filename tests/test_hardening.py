@@ -225,13 +225,14 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
-def test_no_recursion_in_solver_or_cover():
-    # the searches and streams run on explicit stacks, so their depth is
-    # free of the recursion limit; no function may call itself
+def test_no_recursion_in_package():
+    # the searches, streams and cycle enumeration run on explicit stacks, so
+    # their depth is free of the recursion limit; no function may call itself
     root = Path(dpcolor.__file__).parent
     found = set()
-    for name in ("solver.py", "cover.py"):
-        for fn in ast.walk(ast.parse((root / name).read_text())):
+    for path in sorted(root.rglob("*.py")):
+        name = str(path.relative_to(root))
+        for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for call in ast.walk(fn):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -124,6 +125,15 @@ def test_enumerate_cycles_against_bruteforce_larger():
         got = {c.vertices for c in enumerate_cycles(g, 8)}
         want = brute_force_cycles(g.vertex_count, g.edges(), 8)
         assert got == want
+
+
+def test_enumerate_cycles_whole_length_of_long_cycle():
+    # the path search runs on an explicit stack, so a cycle longer than the
+    # default recursion limit is enumerated at its whole length
+    n = 1200
+    assert sys.getrecursionlimit() < n
+    cycles = enumerate_cycles(make_cycle(n), n)
+    assert [c.vertices for c in cycles] == [tuple(range(n))]
 
 
 def test_face_shared_edges_cases(c5, w4):
