@@ -100,17 +100,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_dp_chromatic(args) -> int:
+def cmd_chromatic(args) -> int:
     g, _ = _read_graph(args)
-    value = dp_chromatic(g, args.max)
-    print(f"dp-chromatic: {value if value is not None else f'exceeds {args.max}'}")
-    return 0
-
-
-def cmd_list_chromatic(args) -> int:
-    g, _ = _read_graph(args)
-    value = list_chromatic(g, args.max)
-    print(f"list-chromatic: {value if value is not None else f'exceeds {args.max}'}")
+    value = args.number(g, args.max)
+    print(f"{args.command}: "
+          f"{value if value is not None else f'exceeds {args.max}'}")
     return 0
 
 
@@ -196,15 +190,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--cover", help="rotation-text file with a covers: section")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("dp-chromatic", help="exhaustive correspondence chromatic number")
-    _add_graph_arg(p)
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(fn=cmd_dp_chromatic)
-
-    p = sub.add_parser("list-chromatic", help="exact list-chromatic number")
-    _add_graph_arg(p)
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(fn=cmd_list_chromatic)
+    for name, number, text in (
+            ("dp-chromatic", dp_chromatic,
+             "exhaustive correspondence chromatic number"),
+            ("list-chromatic", list_chromatic, "exact list-chromatic number")):
+        p = sub.add_parser(name, help=text)
+        _add_graph_arg(p)
+        p.add_argument("--max", type=int, required=True)
+        p.set_defaults(fn=cmd_chromatic, number=number)
 
     p = sub.add_parser("extend", help="check one cycle precoloring extends")
     _add_graph_arg(p)
@@ -231,10 +224,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except (gio.DocumentError, PlaneGraphError, CoverError, FileNotFoundError,
-            ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as e:
+            ValueError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

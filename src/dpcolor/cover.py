@@ -50,9 +50,6 @@ class Cover:
     lists: tuple[tuple[int, ...], ...]
     matchings: Mapping[tuple[int, int], PairList]
 
-    def list_of(self, v: int) -> tuple[int, ...]:
-        return self.lists[v]
-
     def matching(self, u: int, v: int) -> PairList:
         """Pairs for edge uv, oriented (color-of-u, color-of-v)."""
         if u < v:

@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .plane_graph import PlaneGraph
-from .structure import (VertexFaceBadness, _Analysis, _face_groups,
-                        outer_boundary_report)
+from .structure import VertexFaceBadness, _Analysis, _face_groups
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face id)
 
@@ -418,16 +417,15 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     k = s - f3
     acct = OuterAccounting(d_outer, s, s_prime, f3, f3_prime, t1, t2, b, k)
 
-    chordless = outer_boundary_report(g).holds
-    boundary_simple = (len(set(g.outer_face.boundary))
-                       == len(g.outer_face.boundary) >= 3)
+    # a simple outer cycle with no chord and no shared interior neighbour
+    chordless = an.outer_witnesses == ()
 
     def touch_outer(edges: Iterable[tuple[int, int]]) -> bool:
         return all(u in outer_verts or v in outer_verts for u, v in edges)
 
     if tag.in_g1:
         acct.g1_identity_applicable = (
-            chordless and boundary_simple
+            chordless
             and all(len(p) <= 2 for p in rpatches)
             and all(touch_outer(g.face(p[0]).edge_set() & g.face(p[1]).edge_set())
                     for p in rpatches if len(p) == 2))
@@ -438,7 +436,7 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
         # no patch partly touches the outer face; each is a tree (bounded
         # 3-faces share at most one edge) whose glued edges touch it
         acct.g2_identity_applicable = (
-            chordless and boundary_simple
+            chordless
             and all(touching.issuperset(p.face_ids)
                     or touching.isdisjoint(p.face_ids) for p in an.patches)
             and all(len(p.edges - p.boundary_edges) == p.size - 1
@@ -454,15 +452,12 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
                                  not violations if applicable else None,
                                  tuple(violations)))
 
-    ivs = tags.internal_vertices
-    min_deg_ok = all(g.degree(v) >= 4 for v in ivs)
-    has_interior = bool(ivs)
+    # the preconditions verify_structural_lemmas reports, on the same facts
+    hypotheses = chordless and bool(an.internal_vertices) and not an.low_degree
 
     if ruleset.id == "G1":
-        applicable = (tag.in_g1 and has_interior and min_deg_ok
-                      and chordless and boundary_simple and d_outer >= 5
-                      and not any(an.separates(c.vertices)
-                                  for c in an.cycles(7)))
+        applicable = (tag.in_g1 and hypotheses and d_outer >= 5
+                      and not any(an.separating(7)))
         viol = []
         if applicable:
             bound = (Fraction(d_outer, 3) if k == 1
@@ -480,12 +475,9 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
             and t.amount < Fraction(1, 3)])
 
     if ruleset.id == "G2":
-        applicable = (tag.in_g2 and has_interior and min_deg_ok and chordless
-                      and boundary_simple and d_outer <= 8
+        applicable = (tag.in_g2 and hypotheses and d_outer <= 8
                       and not an.bad_witnesses(g.outer_face.boundary)
-                      and not any(an.separates(c.vertices)
-                                  and not an.bad_witnesses(c.vertices)
-                                  for c in an.cycles(8)))
+                      and not any(an.separating(8, good=True)))
         share_viol, comp_viol = [], []
         if applicable:
             for f in an.bounded_faces(5):

@@ -60,10 +60,6 @@ class Precoloring:
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.items)
-
 
 @dataclass(frozen=True)
 class ColorabilityVerdict:

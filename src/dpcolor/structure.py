@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .plane_graph import (Cycle, Face, PlaneGraph, _norm_edge,
                           build_from_rotation, enumerate_cycles)
@@ -161,17 +161,6 @@ class FaceAdjacency:
         return self._neighbors[f]
 
 
-def internal_vertices(g: PlaneGraph) -> frozenset[int]:
-    outer = g.outer_vertices()
-    return frozenset(v for v in range(g.vertex_count) if v not in outer)
-
-
-def internal_faces(g: PlaneGraph) -> frozenset[int]:
-    outer = g.outer_vertices()
-    return frozenset(f.id for f in g.faces
-                     if f.id != g.outer_face_id and not (f.vertex_set() & outer))
-
-
 def _face_groups(adjacency: FaceAdjacency, face_ids: Iterable[int]
                  ) -> list[list[int]]:
     """Connected groups, by shared edges, of a set of faces; each group is
@@ -218,6 +207,34 @@ class _Analysis:
         return FaceAdjacency(self.g)
 
     @cached_property
+    def internal_vertices(self) -> frozenset[int]:
+        return frozenset(range(self.g.vertex_count)) - self.g.outer_vertices()
+
+    @cached_property
+    def internal_faces(self) -> frozenset[int]:
+        """Bounded faces with no vertex on the outer face."""
+        g, outer = self.g, self.g.outer_vertices()
+        return frozenset(f.id for f in g.faces if f.id != g.outer_face_id
+                         and outer.isdisjoint(f.vertex_set()))
+
+    @cached_property
+    def low_degree(self) -> tuple[int, ...]:
+        """Internal vertices of degree at most 3, in id order."""
+        return tuple(sorted(v for v in self.internal_vertices
+                            if self.g.degree(v) <= 3))
+
+    @cached_property
+    def outer_witnesses(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Chords (u, v) of the outer cycle, and (u, v, w) where non-adjacent
+        u, v on it share the interior neighbour w; None when the outer face
+        walk is not a simple cycle."""
+        walk = self.g.outer_face.boundary
+        if len(walk) < 3 or len(set(walk)) != len(walk):
+            return None
+        return tuple(_chords_and_shared_neighbors(self.g, walk,
+                                                  self.internal_vertices))
+
+    @cached_property
     def triangles(self) -> list[Face]:
         return self.bounded_faces(3, 3)
 
@@ -239,8 +256,8 @@ class _Analysis:
     @cached_property
     def outer_triangles(self) -> tuple[int, ...]:
         """Bounded 3-faces with a vertex on the outer face, in id order."""
-        outer = self.g.outer_vertices()
-        return tuple(f.id for f in self.triangles if f.vertex_set() & outer)
+        return tuple(f.id for f in self.triangles
+                     if f.id not in self.internal_faces)
 
     def bounded_faces(self, lo: int = 0, hi: float = math.inf) -> list[Face]:
         """Bounded faces of length lo..hi, in id order."""
@@ -306,7 +323,6 @@ class _Analysis:
                 if len(shared) == 2 and all(g.degree(v) == 4 for v in shared):
                     diamonds.add(f.id)
                     diamonds.add(other)
-        ivs = internal_vertices(g)
         outer = g.outer_vertices()
         special: dict[int, frozenset[int]] = {}
         for f in self.bounded_faces(5, 5):
@@ -316,7 +332,7 @@ class _Analysis:
                 if other == g.outer_face_id:
                     continue
                 of = g.face(other)
-                shared_internal = fv & of.vertex_set() & ivs
+                shared_internal = fv & of.vertex_set() & self.internal_vertices
                 if of.length == 3:
                     if (len(shared_internal) == 2
                             and len(of.vertex_set() & outer) == 1):
@@ -335,8 +351,8 @@ class _Analysis:
             good5=frozenset(good5),
             diamond_faces=frozenset(diamonds),
             triangles_at_vertex=tuple(tuple(sorted(fs)) for fs in at_vertex),
-            internal_vertices=ivs,
-            internal_faces=internal_faces(g),
+            internal_vertices=self.internal_vertices,
+            internal_faces=self.internal_faces,
             special_faces=special)
 
     def bad_witnesses(self, verts: Sequence[int]) -> tuple[int, ...]:
@@ -370,6 +386,15 @@ class _Analysis:
             if len(seen) == 2:
                 return True
         return False
+
+    def separating(self, max_len: int, good: bool = False
+                   ) -> Iterator[tuple[int, ...]]:
+        """Separating cycles of length at most ``max_len`` (good ones only
+        when ``good``), as vertex tuples, lazily in enumeration order."""
+        for c in self.cycles(max_len):
+            if self.separates(c.vertices) and not (
+                    good and self.bad_witnesses(c.vertices)):
+                yield c.vertices
 
 
 def class_membership(g: PlaneGraph) -> ClassTag:
@@ -554,21 +579,15 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
                    if g.degree(v) >= 5 and len(tris_at[v]) > g.degree(v) - 2)
         report("g2-vertex-triangle-incidence-bound", "theorem", w3)
 
-    low = tuple(sorted(v for v in an.badness.internal_vertices
-                       if g.degree(v) <= 3))
-    report("internal-min-degree-4", "precondition", low)
-
+    report("internal-min-degree-4", "precondition", an.low_degree)
     if tag.in_g1:
-        seps = tuple(c.vertices for c in an.cycles(7)
-                     if an.separates(c.vertices))
-        report("g1-no-separating-7minus-cycle", "precondition", seps)
+        report("g1-no-separating-7minus-cycle", "precondition",
+               tuple(an.separating(7)))
     if tag.in_g2:
-        seps = tuple(c.vertices for c in an.cycles(8)
-                     if an.separates(c.vertices)
-                     and not an.bad_witnesses(c.vertices))
-        report("g2-no-separating-good-8minus-cycle", "precondition", seps)
-
-    reports.append(outer_boundary_report(g))
+        report("g2-no-separating-good-8minus-cycle", "precondition",
+               tuple(an.separating(8, good=True)))
+    report("outer-chordless-no-shared-interior-neighbor", "precondition",
+           an.outer_witnesses or ())
 
     if tag.in_g2:
         int444 = an.internal_triangles & an.all4_triangles
@@ -579,24 +598,8 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     return reports
 
 
-def outer_boundary_report(g: PlaneGraph) -> LemmaReport:
-    """Chordless outer boundary and no shared interior neighbors.
-
-    Witnesses are chord edges (u, v) or triples (u, v, w) where the
-    non-adjacent boundary vertices u, v share the interior neighbor w.
-    """
-    boundary = g.outer_face.boundary
-    witnesses: list[tuple[int, ...]] = []
-    if len(boundary) >= 3 and len(set(boundary)) == len(boundary):
-        witnesses = _chords_and_shared_neighbors(
-            g, boundary, internal_vertices(g))
-    return LemmaReport("outer-chordless-no-shared-interior-neighbor",
-                       "precondition", not witnesses, tuple(witnesses))
-
-
 def identify_and_reduce(g: PlaneGraph, center_v: int,
                         kept_pair: Iterable[int],
-                        removed_set: Optional[Iterable[int]] = None,
                         mode: Optional[str] = "g2") -> PlaneGraph:
     """Delete the center, its other two neighbors, and merge the kept pair.
 
@@ -616,13 +619,11 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
     if kept not in opposite:
         raise ValueError(f"kept pair {kept} is not opposite at {center_v}")
     other = opposite[1] if kept == opposite[0] else opposite[0]
-    expected_removed = frozenset({center_v, *other})
-    if removed_set is not None and frozenset(removed_set) != expected_removed:
-        raise ValueError(f"removed set must be {sorted(expected_removed)}")
+    removed = frozenset({center_v, *other})
     a, b = kept
     if g.has_edge(a, b):
         raise CreatesLoop(f"kept pair {a},{b} adjacent: identification loops")
-    common = (set(g.neighbors(a)) & set(g.neighbors(b))) - expected_removed
+    common = (set(g.neighbors(a)) & set(g.neighbors(b))) - removed
     if common:
         raise CreatesParallelEdge(
             f"{a},{b} share neighbors {sorted(common)} outside the removed set")
@@ -631,12 +632,10 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
         if c.length == 4 and {a, b, center_v} <= c.vertex_set():
             if an.bad_witnesses(c.vertices):
                 raise BadFourCyclePresent(f"bad 4-cycle {c.vertices}")
-    outer = g.outer_vertices()
-    touching = ({center_v, a, b, *other} & outer)
+    touching = {center_v, a, b, *other} - an.internal_vertices
     if touching:
         raise NotInternal(f"vertices {sorted(touching)} lie on the outer face")
 
-    removed = expected_removed
     # merged rotation: splice b's rotation into a's at the slot the center held
     rot_a = [x for x in g.neighbors(a) if x not in removed or x == center_v]
     rot_b = [x for x in g.neighbors(b) if x not in removed or x == center_v]
@@ -683,27 +682,22 @@ def five_face_triangle_contact_rule(g: PlaneGraph, five_face_id: int,
     edge forces the shared edge's far endpoint to have a neighbor on the
     outer face.
     """
+    an = _Analysis(g)
     f = g.face(five_face_id)
     t = g.face(triangle_id)
-    ifs = internal_faces(g)
-    if (f.length != 5 or t.length != 3 or f.id not in ifs or t.id not in ifs
-            or not all(g.degree(v) == 4 for v in t.vertex_set())):
+    if (f.length != 5 or not {f.id, t.id} <= an.internal_faces
+            or t.id not in an.all4_triangles):
         return None
-    shared = [e for e in f.edge_set() if e in t.edge_set()]
+    shared = f.edge_set() & t.edge_set()
     if len(shared) != 1:
         return None
-    v1, v2 = shared[0]
-    boundary = list(f.boundary)
+    ends = {x for e in shared for x in e}
     outer = g.outer_vertices()
-    m = len(boundary)
-    for idx in range(m):
-        prev_v = boundary[(idx - 1) % m]
-        cur = boundary[idx]
-        nxt = boundary[(idx + 1) % m]
-        if {prev_v, cur} == {v1, v2} and g.degree(nxt) == 4:
-            if not any(w in outer for w in g.neighbors(cur)):
-                return False
-        if {cur, nxt} == {v1, v2} and g.degree(prev_v) == 4:
-            if not any(w in outer for w in g.neighbors(cur)):
+    walk = f.boundary
+    for i, cur in enumerate(walk):
+        nxt = walk[(i + 1) % len(walk)]
+        for near, far in ((walk[i - 1], nxt), (nxt, walk[i - 1])):
+            if ({near, cur} == ends and g.degree(far) == 4
+                    and outer.isdisjoint(g.neighbors(cur))):
                 return False
     return True

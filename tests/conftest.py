@@ -38,6 +38,20 @@ def triangulated_grid(side):
     return build_from_rotation(len(points), rotations)
 
 
+def holed_grid():
+    """triangulated_grid(6), outer face kept, less 18 inner edges: it has
+    5-faces, internal all-degree-4 triangles and one bad 5-vertex (15)."""
+    grid = triangulated_grid(6)
+    drop = {(1, 8), (3, 9), (6, 7), (6, 13), (7, 8), (7, 13), (7, 14),
+            (8, 9), (12, 19), (14, 21), (15, 21), (16, 17), (16, 23),
+            (19, 20), (20, 26), (24, 25), (25, 31), (28, 34)}
+    rotations = [[u for u in grid.neighbors(v)
+                  if (min(u, v), max(u, v)) not in drop]
+                 for v in range(grid.vertex_count)]
+    return build_from_rotation(grid.vertex_count, rotations,
+                               outer_face_hint=list(grid.outer_face.boundary))
+
+
 @pytest.fixture(scope="session")
 def c4():
     return make_cycle(4)

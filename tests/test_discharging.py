@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from dpcolor import (RULESET_G1, RULESET_G2, Face, PlaneGraph, TagUnavailable,
                      audit, build_from_rotation, classify_vertices_and_faces,
                      initial_charges, run_discharging)
 from dpcolor.discharging import DischargingError
+from conftest import holed_grid
 
 
 def test_initial_charges_c7(c7):
@@ -188,3 +190,31 @@ def test_denominators_stay_within_rule_lcm(corpus_g1_n6, corpus_g2_n6):
                 assert bound % t.amount.denominator == 0
             for q in final.charges.values():
                 assert bound % q.denominator == 0
+
+
+def test_rule_branches_on_holed_grid():
+    g = holed_grid()
+    assert classify_vertices_and_faces(g).bad5 == {15}
+    F = Fraction
+    want = {
+        "G1": {("R1", F(1, 2)): 12, ("R1", F(1, 3)): 3, ("R1", F(1, 4)): 8,
+               ("R2", F(1, 3)): 2, ("R2", F(1, 6)): 8, ("R3", F(1, 3)): 2,
+               ("R4", F(-1)): 10, ("R4", F(-2)): 3, ("R4", F(0)): 7,
+               ("R4", F(1)): 14, ("R5", F(1)): 1, ("R5", F(1, 2)): 5,
+               ("R5", F(1, 3)): 1, ("R5", F(1, 4)): 3, ("R5", F(1, 6)): 1,
+               ("R5", F(13, 3)): 1, ("R5", F(2, 3)): 1, ("R5", F(3, 4)): 2},
+        "G2": {("R1", F(1, 2)): 12, ("R1", F(1, 4)): 9, ("R1", F(3, 8)): 2,
+               ("R2", F(1, 3)): 2, ("R2", F(1, 6)): 14, ("R3", F(1, 3)): 8,
+               ("R4", F(3, 7)): 4, ("R4", F(6, 7)): 1, ("R5", F(-1)): 10,
+               ("R5", F(-2)): 3, ("R5", F(0)): 7, ("R5", F(5, 7)): 14,
+               ("R6", F(1, 2)): 1, ("R6", F(1, 3)): 1, ("R6", F(1, 6)): 1,
+               ("R6", F(17, 7)): 1},
+    }
+    logs = {rs.id: run_discharging(g, rs)[1].entries
+            for rs in (RULESET_G1, RULESET_G2)}
+    for rid, entries in logs.items():
+        assert Counter((t.rule, t.amount) for t in entries) == want[rid]
+    # the bad 5-vertex pays 1/4 to its isolated 3-face, 3/8 to the pair
+    assert sorted(t.amount for t in logs["G2"]
+                  if t.rule == "R1" and t.sender == ("v", 15)) == [
+        F(1, 4), F(3, 8), F(3, 8)]

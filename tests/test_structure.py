@@ -12,7 +12,7 @@ from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
                      classify_cycle, classify_vertices_and_faces, cycle_sides,
                      embed_planar, enumerate_cycles, find_triangle_patches,
                      identify_and_reduce, structure, verify_structural_lemmas)
-from conftest import make_cycle, triangulated_grid
+from conftest import holed_grid, make_cycle, triangulated_grid
 from oracles import (bad_witnesses_scan, class_membership_pairwise,
                      cycle_sides_face_bfs)
 
@@ -287,6 +287,15 @@ def test_five_face_contact_rule_paths():
     # the triangle here touches the outer face, so the labeled configuration
     # (internal all-4 triangle) does not apply
     assert five_face_triangle_contact_rule(g, pent, tri) is None
+    # two 5-faces on one internal all-4 triangle: the far endpoint of the
+    # shared edge 13-20 has an outer neighbour, that of 14-20 has none
+    g = holed_grid()
+    face = {f.vertex_set(): f.id for f in g.faces}
+    tri = face[frozenset({13, 14, 20})]
+    assert five_face_triangle_contact_rule(
+        g, face[frozenset({13, 19, 20, 26, 27})], tri) is True
+    assert five_face_triangle_contact_rule(
+        g, face[frozenset({14, 15, 20, 21, 22})], tri) is False
 
 
 def test_internal_444_pair_reported_as_reducible():
