@@ -16,13 +16,13 @@ Three graph formats are understood:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 
-from ._iso import canonical_certificate, connected, vertex_connectivity_at_least
 from .cover import Cover, make_cover
 from .plane_graph import PlaneGraph, build_from_rotation
 from .structure import class_membership
@@ -241,6 +241,13 @@ def document_cover(document: GraphDocument, g: PlaneGraph, k: int) -> Cover:
     return make_cover(g, lists, document.cover_pairs)
 
 
+def _nx_graph(n: int, edges: Sequence[tuple[int, int]]) -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    return graph
+
+
 def embed_planar(vertex_count: int, edges: Sequence[tuple[int, int]], *,
                  limit: int = 12) -> PlaneGraph:
     """Embed an abstract graph (small inputs), or raise NotPlanar.
@@ -250,9 +257,7 @@ def embed_planar(vertex_count: int, edges: Sequence[tuple[int, int]], *,
     """
     if vertex_count > limit:
         raise TooLargeToEmbed(f"{vertex_count} vertices exceed limit {limit}")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(vertex_count))
-    graph.add_edges_from(edges)
+    graph = _nx_graph(vertex_count, edges)
     ok, embedding = nx.check_planarity(graph)
     if not ok:
         raise NotPlanar(f"graph on {vertex_count} vertices is not planar")
@@ -291,28 +296,40 @@ class CorpusSpec:
 
 
 def _all_connected_graphs(n: int) -> Iterator[list[tuple[int, int]]]:
-    """All connected graphs on n labeled vertices, one per iso class."""
-    if n == 1:
-        yield []
-        return
+    """All connected graphs on n labeled vertices, one per iso class.
+
+    Bit t of an edge bitmask stands for the t-th vertex pair in
+    lexicographic order.  Each class is kept in its least-bitmask
+    labelling (Read's orderly canonical form), tested directly: a mask is
+    kept when no vertex permutation maps its edges to a smaller mask.
+    Classes come out in ascending order of that mask.
+    """
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen: set[tuple] = set()
+    index = {slot: t for t, slot in enumerate(slots)}
+    images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots]
+              for p in itertools.permutations(range(n))]
     for mask in range(1 << len(slots)):
-        edges = [slots[t] for t in range(len(slots)) if mask >> t & 1]
-        if len(edges) < n - 1 or not connected(n, edges):
+        if mask.bit_count() < n - 1:
             continue
-        cert = canonical_certificate(n, edges)
-        if cert in seen:
+        bits = [t for t in range(len(slots)) if mask >> t & 1]
+        if any(sum(map(image.__getitem__, bits)) < mask for image in images):
             continue
-        seen.add(cert)
-        yield edges
+        edges = [slots[t] for t in bits]
+        # networkx calls the null graph's connectivity undefined
+        if n > 0 and nx.is_connected(_nx_graph(n, edges)):
+            yield edges
 
 
 def _passes(spec: CorpusSpec, n: int, edges: list[tuple[int, int]],
             g: PlaneGraph) -> bool:
-    if spec.connectivity > 1 and not vertex_connectivity_at_least(
-            n, edges, spec.connectivity):
-        return False
+    c = spec.connectivity
+    if c > 1:
+        # complete graphs are the only graphs this size with no small cutset
+        if n <= c:
+            if len(edges) != n * (n - 1) // 2:
+                return False
+        elif nx.node_connectivity(_nx_graph(n, edges)) < c:
+            return False
     if spec.class_filter is not None:
         tag = class_membership(g)
         if spec.class_filter == "g1" and not tag.in_g1:
@@ -335,19 +352,20 @@ def corpus_generate(spec: CorpusSpec) -> Iterator[PlaneGraph]:
                     yield g
         else:
             rng = random.Random(spec.seed * 1_000_003 + n)
-            seen: set[tuple] = set()
+            # earlier distinct draws, keyed by sorted degree sequence
+            seen: dict[tuple[int, ...], list[nx.Graph]] = {}
             produced = 0
             attempts = 0
             cap = 400 * spec.per_size_samples
             while produced < spec.per_size_samples and attempts < cap:
                 attempts += 1
                 edges = _random_connected_planar(rng, n)
-                if edges is None:
+                graph = _nx_graph(n, edges)
+                same = seen.setdefault(
+                    tuple(sorted(d for _, d in graph.degree)), [])
+                if any(nx.is_isomorphic(graph, h) for h in same):
                     continue
-                cert = canonical_certificate(n, edges)
-                if cert in seen:
-                    continue
-                seen.add(cert)
+                same.append(graph)
                 try:
                     g = embed_planar(n, edges, limit=max(12, n))
                 except NotPlanar:
@@ -358,7 +376,8 @@ def corpus_generate(spec: CorpusSpec) -> Iterator[PlaneGraph]:
 
 
 def _random_connected_planar(rng: random.Random, n: int
-                             ) -> Optional[list[tuple[int, int]]]:
+                             ) -> list[tuple[int, int]]:
+    """A random spanning tree plus random planarity-keeping extra edges."""
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))

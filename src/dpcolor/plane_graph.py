@@ -149,17 +149,6 @@ class PlaneGraph:
         """The (at most two distinct) face ids on either side of edge uv."""
         return (self._edge_face[(u, v)], self._edge_face[(v, u)])
 
-    def faces_at_vertex(self, v: int) -> tuple[int, ...]:
-        """Ids of faces incident to v, in rotation order (deduplicated)."""
-        seen: list[int] = []
-        for w in self.rotations[v]:
-            fid = self._edge_face[(v, w)]
-            if fid not in seen:
-                seen.append(fid)
-        if not self.rotations[v] and self.vertex_count == 1:
-            return (self.outer_face_id,)
-        return tuple(seen)
-
     def outer_vertices(self) -> frozenset[int]:
         return self.outer_face.vertex_set()
 

@@ -505,7 +505,8 @@ def list_chromatic(g: PlaneGraph, k_max: int, *,
     adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
     counter = [budget]
     full = frozenset(range(g.vertex_count))
-    for k in range(1, k_max + 1):
+    # a graph with an edge is not 1-choosable
+    for k in range(2 if g.edge_count else 1, k_max + 1):
         if _Choosability(adj, k, counter).choosable(full):
             return k
     return None
@@ -522,7 +523,12 @@ class ExtensionFailure:
 
 @dataclass
 class ExtensionSurvey:
-    """Result of sweeping covers x valid precolorings of one cycle."""
+    """Result of sweeping covers x valid precolorings of one cycle.
+
+    At k = 1 a cycle with an edge has no valid precoloring, so such a
+    survey is vacuous: ``precolorings_checked == 0`` and ``all_extendable``
+    holds.
+    """
 
     mode: str
     cycle: tuple[int, ...]
@@ -583,7 +589,9 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
     seeded covers as sampled :func:`dp_colorable`.  Per cover, the valid
     precolorings are enumerated in ascending order (colors by cycle
     position) and each is extended by a search that fixes the cycle first.
-    ValueError reports a cycle vertex out of range or repeated.
+    ValueError reports a cycle vertex out of range or repeated.  At k = 1
+    a cycle with an edge has no valid precoloring, so the survey is
+    vacuous (``precolorings_checked == 0``), not a proof of extension.
     """
     cyc = _check_cycle(g, cycle)
     sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)

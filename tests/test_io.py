@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
+import networkx as nx
 import pytest
 
 from dpcolor import (CorpusSpec, DocumentSyntaxError, GraphDocument,
@@ -10,7 +14,6 @@ from dpcolor import (CorpusSpec, DocumentSyntaxError, GraphDocument,
                      document_cover, embed_planar, load_document, parse,
                      parse_graph6, parse_planar_code, parse_rotation_text,
                      serialize_rotation_text)
-from dpcolor._iso import canonical_certificate
 
 
 def test_rotation_text_round_trip(w4, hex_prism):
@@ -116,17 +119,23 @@ def test_corpus_deterministic():
 
 def test_corpus_empty_range():
     assert list(corpus_generate(CorpusSpec(5, 4))) == []
+    # no connected graph has 0 vertices
+    assert [g.vertex_count for g in corpus_generate(CorpusSpec(0, 2))] == [1, 2]
+
+
+def _nx(g):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.vertex_count))
+    graph.add_edges_from(g.edges())
+    return graph
 
 
 def test_corpus_filter_contains_k4_not_w5(corpus_g1_n6):
-    k4 = canonical_certificate(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-                                   (2, 3)])
-    w5 = canonical_certificate(6, [(5, i) for i in range(5)]
-                               + [(i, (i + 1) % 5) for i in range(5)])
-    certs = {canonical_certificate(g.vertex_count, list(g.edges()))
-             for g in corpus_g1_n6}
-    assert k4 in certs
-    assert w5 not in certs
+    k4 = nx.complete_graph(4)
+    w5 = nx.wheel_graph(6)
+    members = [_nx(g) for g in corpus_g1_n6]
+    assert any(nx.is_isomorphic(k4, h) for h in members)
+    assert not any(nx.is_isomorphic(w5, h) for h in members)
     for g in corpus_g1_n6:
         assert class_membership(g).in_g1
 
@@ -143,12 +152,22 @@ def test_corpus_reparse_isomorphic(corpus_n6):
     for g in corpus_n6[:20]:
         text = serialize_rotation_text(g)
         h = parse(parse_rotation_text(text))
-        assert canonical_certificate(g.vertex_count, list(g.edges())) \
-            == canonical_certificate(h.vertex_count, list(h.edges()))
+        assert nx.is_isomorphic(_nx(g), _nx(h))
         assert h.rotations == g.rotations
 
 
 def test_corpus_dedupes_isomorphs(corpus_n6):
-    certs = [canonical_certificate(g.vertex_count, list(g.edges()))
-             for g in corpus_n6]
-    assert len(certs) == len(set(certs))
+    members = [_nx(g) for g in corpus_n6]
+    assert not any(nx.is_isomorphic(a, b)
+                   for a, b in itertools.combinations(members, 2))
+
+
+def test_corpus_fixtures_pinned(corpus_n6, corpus_g1_n9, corpus_g2_n9):
+    # every rotation system, outer face and the order of the shared
+    # corpora; the acceptance criteria read these fixtures
+    def digest(corpus):
+        return hashlib.sha256(repr([(g.rotations, g.outer_face_id)
+                                    for g in corpus]).encode()).hexdigest()[:16]
+    assert digest(corpus_n6) == "56ffe897450ce02d"
+    assert digest(corpus_g1_n9) == "c1e18de456deaaf2"
+    assert digest(corpus_g2_n9) == "a75dafe2c89429bc"

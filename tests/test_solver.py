@@ -134,6 +134,11 @@ def test_list_chromatic_values(c4, c6, k4, k1):
     assert list_chromatic(k4, 5) == 4
 
 
+def test_list_chromatic_skips_k1_search_with_an_edge(c4):
+    # a graph with an edge is not 1-choosable; no search node is spent
+    assert list_chromatic(c4, 1, budget=0) is None
+
+
 def test_list_chromatic_against_bounded_pool_oracle():
     # full pool enumeration is feasible up to four vertices at k = 2
     p3 = build_from_rotation(3, [(1,), (0, 2), (1,)])
