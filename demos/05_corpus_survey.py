@@ -33,8 +33,8 @@ for g in corpus:
     order = greedy_extension_order(g, cyc, 4)
     survey = survey_precoloring_extensions(g, cyc, 4)
     print(f"  n={g.vertex_count} m={g.edge_count} cycle={cyc}: "
-          f"{survey.covers_checked} covers, "
-          f"{survey.precolorings_checked} precolorings, "
+          f"{survey.covers_checked} covers of G - C, "
+          f"{survey.precolorings_checked} banned-color configurations, "
           f"failures={len(survey.failures)}"
           + (" (a greedy order already proves it)" if order else ""))
     done += 1

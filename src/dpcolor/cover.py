@@ -237,15 +237,19 @@ def full_cover(g: PlaneGraph, k: int,
     return Cover(lists, matchings)
 
 
-def bfs_tree_edges(g: PlaneGraph, root: int = 0) -> list[tuple[int, int]]:
-    """Edges of the breadth-first spanning tree from ``root`` (sorted nbrs)."""
+def bfs_tree_edges(g: PlaneGraph, root: int = 0,
+                   within: Optional[Iterable[int]] = None
+                   ) -> list[tuple[int, int]]:
+    """Edges of the breadth-first spanning tree from ``root`` (sorted nbrs),
+    of the subgraph induced by ``within`` when given (it must hold root)."""
+    inside = None if within is None else frozenset(within)
     seen = {root}
     queue = [root]
     tree: list[tuple[int, int]] = []
     while queue:
         u = queue.pop(0)
         for v in sorted(g.neighbors(u)):
-            if v not in seen:
+            if v not in seen and (inside is None or v in inside):
                 seen.add(v)
                 tree.append(_norm_edge(u, v))
                 queue.append(v)
@@ -278,13 +282,21 @@ class _CoverSweep:
     * ``"sampled"``: ``samples`` seeded random covers, exactly those of
       ``full_cover(g, k, random_chooser(rng.randrange(2 ** 32)))`` with
       ``rng = random.Random(seed)``.
+
+    Given ``vertices``, a connected vertex set, the stream covers the
+    subgraph they induce instead: ``edges`` are its edges and the tree is
+    its BFS tree from the least vertex.  ``cover_from`` then does not
+    apply, since it builds covers of all of g.
     """
 
-    def __init__(self, g: PlaneGraph, k: int):
+    def __init__(self, g: PlaneGraph, k: int,
+                 vertices: Optional[Iterable[int]] = None):
         self.g = g
         self.k = k
-        self.edges = g.edges()
-        tree = set(bfs_tree_edges(g))
+        keep = frozenset(range(g.vertex_count) if vertices is None
+                         else vertices)
+        self.edges = tuple(e for e in g.edges() if keep.issuperset(e))
+        tree = set(bfs_tree_edges(g, min(keep), keep)) if keep else set()
         self.non_tree = [i for i, e in enumerate(self.edges) if e not in tree]
 
     @functools.cached_property
@@ -296,15 +308,33 @@ class _CoverSweep:
         """Size of the full stream, which bounds the canonical one."""
         return math.factorial(self.k) ** len(self.non_tree)
 
+    @functools.cached_property
+    def conj(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]],
+                           tuple[int, ...]]:
+        """``conj[(s, p)]``: p conjugated by the renaming s; (k!)**2 entries."""
+        return {(s, p): _conjugate(p, s) for s in self.perms for p in self.perms}
+
+    @property
+    def canonical_covers(self) -> int:
+        """Size of the canonical stream: the number of common-renaming
+        orbits, by Burnside's lemma the mean over renamings s of the
+        tuples s fixes, |centralizer(s)| ** (non-tree edges)."""
+        m = len(self.non_tree)
+        if m == 0:
+            return 1
+        conj = self.conj
+        return sum(sum(conj[(s, p)] == p for p in self.perms) ** m
+                   for s in self.perms) // len(self.perms)
+
     def canonical_tuples(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """One non-tree permutation tuple per common-renaming orbit."""
-        conj = {(s, p): _conjugate(p, s) for s in self.perms for p in self.perms}
-        sigmas = [s for s in self.perms
-                  if any(conj[(s, p)] != p for p in self.perms)]
         m = len(self.non_tree)
         if m == 0:
             yield ()
             return
+        conj = self.conj
+        sigmas = [s for s in self.perms
+                  if any(conj[(s, p)] != p for p in self.perms)]
         prefix: list[tuple[int, ...]] = []
         # per non-tree edge: the permutations left, the renamings still tied
         frames = [(iter(self.perms), sigmas)]

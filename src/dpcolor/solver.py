@@ -15,10 +15,12 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cover import Cover, CoverGraph, _CoverSweep, cover_graph
+from .cover import (Cover, CoverGraph, _CoverSweep, cover_graph, full_cover,
+                    table_chooser)
 from .plane_graph import PlaneGraph
 
 DEFAULT_COVER_BUDGET = 10_000_000
@@ -166,6 +168,32 @@ def _peel(adj: Sequence[frozenset[int]], live: Iterable[int], k: int,
                 if degree[u] == k - 1 and u not in keep:
                     heapq.heappush(heap, u)
     return peeled, frozenset(live)
+
+
+def _reach(adj: Sequence[frozenset[int]], start: int,
+           subset: frozenset[int]) -> list[int]:
+    """The vertices of ``subset`` reachable from ``start``, in BFS order
+    with neighbors in ascending order."""
+    order = [start]
+    seen = {start}
+    for u in order:
+        for w in sorted(adj[u] & subset):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _components(adj: Sequence[frozenset[int]],
+                subset: frozenset[int]) -> list[frozenset[int]]:
+    """The components of the subgraph that ``subset`` induces, by least
+    vertex."""
+    left = set(subset)
+    comps = []
+    while left:
+        comps.append(frozenset(_reach(adj, min(left), subset)))
+        left -= comps[-1]
+    return comps
 
 
 def _search_order(n: int, edges: Iterable[tuple[int, int]],
@@ -400,7 +428,7 @@ class _Choosability:
         hit = self.memo.get(subset)
         if hit is not None:
             return hit
-        comps = self._components(subset)
+        comps = _components(self.adj, subset)
         children = comps if len(comps) > 1 else \
             (subset - {v} for v in sorted(subset))
         result = True
@@ -413,30 +441,10 @@ class _Choosability:
         self.memo[subset] = result
         return result
 
-    def _reach(self, start: int, subset: frozenset[int]) -> list[int]:
-        """The vertices of ``subset`` reachable from ``start``, in BFS order
-        with neighbors in ascending order."""
-        order = [start]
-        seen = {start}
-        for u in order:
-            for w in sorted(self.adj[u] & subset):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        return order
-
-    def _components(self, subset: frozenset[int]) -> list[frozenset[int]]:
-        left = set(subset)
-        comps = []
-        while left:
-            comps.append(frozenset(self._reach(min(left), subset)))
-            left -= comps[-1]
-        return comps
-
     def _bad_assignment_exists(self, subset: frozenset[int]) -> bool:
         k = self.k
         # BFS order keeps processed vertices adjacent to upcoming ones
-        order = self._reach(min(subset), subset)
+        order = _reach(self.adj, min(subset), subset)
         m = len(order)
         pos = {v: i for i, v in enumerate(order)}
         nbr_pos = [sorted(pos[u] for u in self.adj[v] & subset) for v in order]
@@ -523,11 +531,24 @@ class ExtensionFailure:
 
 @dataclass
 class ExtensionSurvey:
-    """Result of sweeping covers x valid precolorings of one cycle.
+    """Result of an extension survey of one cycle C (any distinct vertices).
+
+    Sampled mode sweeps seeded covers of all of G: ``covers_checked``
+    counts them, ``precolorings_checked`` the valid precolorings of C
+    under them, and ``failures`` holds each of those that does not extend.
+
+    Exhaustive mode sweeps the residual graph G - C, one component at a
+    time.  ``covers_checked`` sums the canonical covers of the components
+    (an empty G - C counts as one empty component, with one cover), and
+    ``precolorings_checked`` sums the configurations checked under them:
+    one banned color set per residual vertex, each standing for the
+    precolorings of C that ban those colors.  Each failure is one
+    uncolorable configuration, lifted to a cover of G and a valid
+    precoloring of C that does not extend under it.
 
     At k = 1 a cycle with an edge has no valid precoloring, so such a
-    survey is vacuous: ``precolorings_checked == 0`` and ``all_extendable``
-    holds.
+    survey is vacuous: one cover, ``precolorings_checked == 0`` and
+    ``all_extendable`` holds.
     """
 
     mode: str
@@ -581,19 +602,42 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
                                   samples: int = 500, seed: int = 0,
                                   budget: int = DEFAULT_COVER_BUDGET
                                   ) -> ExtensionSurvey:
-    """For each cover, check that every valid precoloring of ``cycle`` extends.
+    """Check that every valid precoloring of ``cycle`` extends, under every
+    full k-cover (exhaustive) or under seeded sampled covers.
 
     A precoloring is valid when it is independent on the subgraph induced
-    by the cycle's vertices (cycle edges and chords alike).  Exhaustive
-    mode sweeps the canonical cover stream; sampled mode draws the same
-    seeded covers as sampled :func:`dp_colorable`.  Per cover, the valid
-    precolorings are enumerated in ascending order (colors by cycle
-    position) and each is extended by a search that fixes the cycle first.
-    ValueError reports a cycle vertex out of range or repeated.  At k = 1
-    a cycle with an edge has no valid precoloring, so the survey is
-    vacuous (``precolorings_checked == 0``), not a proof of extension.
+    by the cycle's vertices (cycle edges and chords alike).  ValueError
+    reports a cycle vertex out of range or repeated.
+
+    Exhaustive mode decides the question on G - C, C the cycle's vertices:
+    it holds exactly when every component R of G - C is colorable under
+    each cover of R with min(|N(v) & C|, k) colors banned at each vertex v,
+    whichever they are.  A valid precoloring bans at most |N(v) & C| colors
+    at v and larger banned sets only hurt, so that sweep is exhaustive; it
+    reads R's canonical covers, since a common renaming permutes the banned
+    sets among themselves.  Conversely, each uncolorable configuration is
+    lifted to a failure: color 1 on every vertex of C, shift permutations
+    on the edges inside C, and on the edges from C to v a transposition
+    (1 x) per banned color x of v.  Components are independent, so their
+    counts add.  ``budget`` bounds the configurations swept, and the
+    (k!)**2 renaming table the canonical stream builds when a component
+    has a cycle; both are checked before the sweep.
+
+    Sampled mode draws the same seeded covers of G as sampled
+    :func:`dp_colorable`.  Per cover, the valid precolorings are enumerated
+    in ascending order (colors by cycle position) and each is extended by
+    a search that fixes the cycle first.
+
+    At k = 1 a cycle with an edge has no valid precoloring, so the survey
+    is vacuous (``precolorings_checked == 0``), not a proof of extension.
     """
     cyc = _check_cycle(g, cycle)
+    # at k = 1 an edge inside the cycle leaves no valid precoloring, which
+    # the one cover of all of G shows; the lifted failures need k >= 2 there
+    vacuous = k == 1 and any(g.has_edge(u, v)
+                             for u, v in itertools.combinations(cyc, 2))
+    if mode == "exhaustive" and k >= 1 and not vacuous:
+        return _residual_survey(g, cyc, k, budget)
     sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
     survey = ExtensionSurvey(mode, cyc, k, 0, 0, **sampling)
     for perms, results in _extension_sweep(g, k, cyc, [(1 << k) - 1] * len(cyc),
@@ -606,6 +650,81 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
                 survey.failures.append(ExtensionFailure(
                     sweep.cover_from(perms), Precoloring.of(colors)))
     return survey
+
+
+def _residual_survey(g: PlaneGraph, cyc: tuple[int, ...], k: int,
+                     budget: int) -> ExtensionSurvey:
+    """The exhaustive survey, swept on the components of G - C."""
+    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
+    on_cycle = frozenset(cyc)
+    comps = _components(adj, frozenset(range(g.vertex_count)) - on_cycle)
+    comps = comps or [frozenset()]
+    full = (1 << k) - 1
+    # per residual vertex: its open colors under each banned set
+    domains = {v: [full & ~sum(1 << c for c in banned)
+                   for banned in itertools.combinations(
+                       range(k), min(len(adj[v] & on_cycle), k))]
+               for comp in comps for v in comp}
+    sweeps = [_CoverSweep(g, k, comp) for comp in comps]
+    # a component with non-tree edges first builds its (k!)**2 renaming table
+    if any(sweep.non_tree for sweep in sweeps) \
+            and math.factorial(k) ** 2 > budget:
+        raise BudgetExceeded(
+            f"the {k}! x {k}! renaming table exceeds budget {budget}")
+    total = sum(sweep.canonical_covers
+                * math.prod(len(domains[v]) for v in comp)
+                for comp, sweep in zip(comps, sweeps))
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} residual configurations exceed budget {budget}")
+    survey = ExtensionSurvey("exhaustive", cyc, k, 0, 0)
+    for comp, sweep in zip(comps, sweeps):
+        order = [v for v in _search_order(g.vertex_count, sweep.edges)
+                 if v in comp]
+        tables = _PermTables(order, sweep.edges)
+        choices = [domains[v] for v in order]
+        for perms in sweep.stream("canonical"):
+            survey.covers_checked += 1
+            tables.load(perms)
+            for open_colors in itertools.product(*choices):
+                survey.precolorings_checked += 1
+                colorings = _search(open_colors, tables.constraints)
+                if next(colorings, None) is None:
+                    survey.failures.append(_lifted_failure(
+                        g, cyc, k, dict(zip(sweep.edges, perms)),
+                        dict(zip(order, open_colors))))
+    return survey
+
+
+def _lifted_failure(g: PlaneGraph, cyc: tuple[int, ...], k: int,
+                    residual: Mapping[tuple[int, int], tuple[int, ...]],
+                    open_colors: Mapping[int, int]) -> ExtensionFailure:
+    """A cover of ``g`` and a valid precoloring of ``cyc`` that leave each
+    vertex v of ``open_colors`` exactly the colors of bitmask
+    ``open_colors[v]``, under the permutations ``residual`` (by edge).
+
+    Every cycle vertex takes color 1.  Edges inside the cycle get the shift
+    c -> c + 1 (mod k), which never matches 1 with 1 when k >= 2.  The
+    edges from the cycle to v get the transpositions (1 x), x running
+    through the banned colors of v (round again when v has more cycle
+    neighbors than k).  Every other edge keeps its permutation in
+    ``residual``, or else the identity.
+    """
+    on_cycle = frozenset(cyc)
+    table = dict(residual)
+    shift = tuple(range(2, k + 1)) + (1,)
+    for u, v in g.edges():
+        if u in on_cycle and v in on_cycle:
+            table[(u, v)] = shift
+    for v, mask in open_colors.items():
+        banned = [c for c in range(1, k + 1) if not mask >> (c - 1) & 1]
+        for i, u in enumerate(sorted(on_cycle.intersection(g.neighbors(v)))):
+            x = banned[i % len(banned)]
+            swap = list(range(1, k + 1))
+            swap[0], swap[x - 1] = x, 1
+            table[(u, v)] = tuple(swap)
+    return ExtensionFailure(full_cover(g, k, table_chooser(table)),
+                            Precoloring.of(dict.fromkeys(cyc, 1)))
 
 
 def _extension_counts(g: PlaneGraph, pre: Precoloring, k: int, samples: int,

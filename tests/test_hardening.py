@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 import random
 from pathlib import Path
 
 import dpcolor
 
 from dpcolor import (RULESET_G1, audit, build_from_rotation, class_membership,
-                     embed_planar, enumerate_covers, extend_precoloring,
-                     list_chromatic, Precoloring, InconsistentPrecoloring,
-                     survey_precoloring_extensions)
+                     embed_planar, enumerate_covers, enumerate_cycles,
+                     extend_precoloring, list_chromatic, Precoloring,
+                     InconsistentPrecoloring, survey_precoloring_extensions)
 from dpcolor.cover import _CoverSweep, _conjugate
+from dpcolor.solver import _extension_sweep
 from conftest import make_cycle
 from oracles import has_transversal_brute
 
@@ -50,6 +52,69 @@ def test_survey_matches_naive_sweep(corpus_n6):
         slow = _naive_survey_ok(g, cyc, k)
         assert fast.all_extendable == slow, (g.rotations, cyc, k)
         cases += 1
+
+
+def _per_cover_survey_ok(g, cyc, k):
+    """Every valid precoloring of ``cyc`` extends under every canonical
+    cover of g: the per-cover sweep that sampled surveys run."""
+    stream = _CoverSweep(g, k).stream("canonical")
+    return all(extends for _, results in _extension_sweep(
+        g, k, cyc, [(1 << k) - 1] * len(cyc), stream)
+        for _, extends in results)
+
+
+def _assert_failures_recheck(g, survey):
+    for fail in survey.failures:
+        # valid under its cover (no InconsistentPrecoloring), yet stuck
+        assert extend_precoloring(g, fail.cover, fail.precoloring) is None
+
+
+def test_residual_survey_matches_per_cover_sweep(corpus_n6):
+    # the exhaustive survey sweeps G - C only; it must agree with one
+    # extension search per valid precoloring under every cover of G, on
+    # cycles and on arbitrary vertex tuples (independent ones included)
+    cases = 0
+    for g in (g for g in corpus_n6 if g.vertex_count <= 5):
+        beta = g.edge_count - g.vertex_count + 1
+        tuples = [(c.vertices, (2, 3, 4)) for c in enumerate_cycles(g, 5)]
+        tuples += [(t, (1, 2, 3)) for size in (1, 2, 3) for t in
+                   itertools.combinations(range(g.vertex_count), size)]
+        for cyc, ks in tuples:
+            for k in ks:
+                if math.factorial(k) ** beta > 6 ** 4:
+                    continue
+                survey = survey_precoloring_extensions(g, cyc, k)
+                slow = _per_cover_survey_ok(g, cyc, k)
+                assert survey.all_extendable == slow, (g.rotations, cyc, k)
+                _assert_failures_recheck(g, survey)
+                cases += 1
+    assert cases > 1000
+
+
+def test_residual_survey_disconnected_residual(octahedron):
+    # the equator leaves the two poles as separate components of G - C
+    equator = (0, 1, 5, 3)
+    poles = [_CoverSweep(octahedron, 3, [v]) for v in (2, 4)]
+    fast = survey_precoloring_extensions(octahedron, equator, 2)
+    assert fast.all_extendable == _naive_survey_ok(octahedron, equator, 2)
+    fast = survey_precoloring_extensions(octahedron, equator, 3)
+    assert fast.all_extendable == _per_cover_survey_ok(octahedron, equator, 3)
+    assert not fast.all_extendable
+    assert fast.covers_checked == sum(p.canonical_covers for p in poles) == 2
+    _assert_failures_recheck(octahedron, fast)
+
+
+def test_canonical_covers_counts_the_canonical_stream(octahedron):
+    # Burnside's count equals the stream's length, on G and on the
+    # subgraphs that residual surveys sweep (the empty one included)
+    for k in (1, 2, 3, 4):
+        for vertices in (None, (), (2,), (0, 1, 2), (0, 1, 2, 3),
+                         (1, 2, 3, 4, 5)):
+            sweep = _CoverSweep(octahedron, k, vertices)
+            if sweep.total_covers > 24 ** 2:
+                continue
+            assert sweep.canonical_covers == \
+                sum(1 for _ in sweep.canonical_tuples())
 
 
 def test_canonical_tuples_cover_all_orbits(c4):

@@ -227,6 +227,40 @@ def test_greedy_extension_order_matches_scan_oracle(corpus_n6):
                     == greedy_extension_order_scan(g, cyc.vertices, k)
 
 
+def test_survey_budget_counts_residual_configurations(octahedron):
+    # all of G has 24**7 raw covers at k = 4, but G - C is
+    # one triangle whose vertices each see two cycle vertices
+    triangle = (0, 1, 2)
+    survey = survey_precoloring_extensions(octahedron, triangle, 4)
+    assert not survey.all_extendable
+    assert survey.precolorings_checked == 5 * 6 ** 3
+    for fail in survey.failures:
+        assert fail.precoloring.as_dict() == {0: 1, 1: 1, 2: 1}
+        assert extend_precoloring(octahedron, fail.cover, fail.precoloring) \
+            is None
+    assert survey_precoloring_extensions(
+        octahedron, triangle, 4, budget=survey.precolorings_checked
+    ).failures == survey.failures
+    with pytest.raises(BudgetExceeded):
+        survey_precoloring_extensions(octahedron, triangle, 4,
+                                      budget=survey.precolorings_checked - 1)
+    # the colorability sweeps keep their raw (k!)**beta budget
+    with pytest.raises(BudgetExceeded):
+        dp_colorable(octahedron, 4, budget=24 ** 7 - 1)
+    with pytest.raises(BudgetExceeded):
+        dp_chromatic(octahedron, 4, budget=6 ** 7 - 1)
+
+
+def test_survey_budget_counts_the_renaming_table(octahedron):
+    # at k = 7 the canonical stream's renaming table has 5040**2 entries,
+    # past the default budget; a residual without cycles never builds it
+    with pytest.raises(BudgetExceeded):
+        survey_precoloring_extensions(octahedron, (0, 1, 2), 7)
+    survey = survey_precoloring_extensions(octahedron, (0, 1, 2, 3, 4), 7)
+    assert survey.all_extendable
+    assert (survey.covers_checked, survey.precolorings_checked) == (1, 35)
+
+
 @pytest.mark.parametrize("cycle", [(0, 1, 7), (-1, 0), (0, 1, 0)])
 def test_survey_rejects_bad_cycle_vertices(c4, cycle):
     # an out-of-range or repeated vertex would silently drop a real vertex
