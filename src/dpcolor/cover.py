@@ -285,8 +285,8 @@ class _CoverSweep:
 
     Given ``vertices``, a connected vertex set, the stream covers the
     subgraph they induce instead: ``edges`` are its edges and the tree is
-    its BFS tree from the least vertex.  ``cover_from`` then does not
-    apply, since it builds covers of all of g.
+    its BFS tree from the least vertex.  ``cover_from`` lifts each such
+    cover to all of g, with the identity on every edge outside ``edges``.
     """
 
     def __init__(self, g: PlaneGraph, k: int,
@@ -295,6 +295,7 @@ class _CoverSweep:
         self.k = k
         keep = frozenset(range(g.vertex_count) if vertices is None
                          else vertices)
+        self.vertices = keep
         self.edges = tuple(e for e in g.edges() if keep.issuperset(e))
         tree = set(bfs_tree_edges(g, min(keep), keep)) if keep else set()
         self.non_tree = [i for i, e in enumerate(self.edges) if e not in tree]
@@ -386,9 +387,13 @@ class _CoverSweep:
             yield tuple(perms)
 
     def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
+        """The cover of all of g with ``perms`` on ``edges`` and the
+        identity on every other edge."""
         colors = tuple(range(1, self.k + 1))
+        table = dict(zip(self.edges, perms))
         return Cover((colors,) * self.g.vertex_count,
-                     {e: _pairs_of(p) for e, p in zip(self.edges, perms)})
+                     {e: _pairs_of(table.get(e, colors))
+                      for e in self.g.edges()})
 
 
 @functools.lru_cache(maxsize=8192)  # every permutation for k <= 7

@@ -65,7 +65,14 @@ class Precoloring:
 
 @dataclass(frozen=True)
 class ColorabilityVerdict:
-    """Outcome of a colorability sweep over a cover stream."""
+    """Outcome of a colorability sweep over a cover stream.
+
+    In sampled mode ``covers_checked`` counts the seeded covers of G
+    swept.  In exhaustive mode it sums the canonical covers swept over the
+    components of the k-core (vertices of degree < k peeled repeatedly);
+    an empty core counts as one empty cover, so it is at least 1.  The
+    call's ``budget`` bounded the raw covers of those same components.
+    """
 
     mode: str  # "exhaustive" | "sampled"
     all_colorable: bool
@@ -333,36 +340,80 @@ def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
     return sweep, sweep.stream(exhaustive), {}
 
 
+def _sweep_order(g: PlaneGraph, sweep: _CoverSweep) -> list[int]:
+    """The sweep's vertices in smallest-last order over its edges."""
+    return [v for v in _search_order(g.vertex_count, sweep.edges)
+            if v in sweep.vertices]
+
+
+def _core_sweeps(g: PlaneGraph, k: int, budget: int) -> list[_CoverSweep]:
+    """One sweep per component of the k-core of ``g`` (one empty sweep when
+    the core is empty), after checking their raw covers against ``budget``.
+    """
+    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
+    core = _peel(adj, range(g.vertex_count), k)[1]
+    sweeps = [_CoverSweep(g, k, comp)
+              for comp in _components(adj, core) or [frozenset()]]
+    raw = sum(sweep.total_covers for sweep in sweeps)
+    if raw > budget:
+        raise BudgetExceeded(
+            f"{raw} covers of the {k}-core exceed budget {budget}")
+    return sweeps
+
+
 def dp_colorable(g: PlaneGraph, k: int, mode: str = "exhaustive", *,
                  samples: int = 1000, seed: int = 0,
                  budget: int = DEFAULT_COVER_BUDGET) -> ColorabilityVerdict:
     """Decide whether every cover with lists of size k admits a transversal.
 
-    Exhaustive mode sweeps the relabeling-reduced cover space (guarded by
-    ``budget`` against (k!)**(|E|-|V|+1) blowup); sampled mode draws seeded
-    random permutation covers and is labeled as such in the verdict.  A
-    counterexample is re-checked with :func:`find_transversal` before it is
-    returned; SolverError reports a disagreement.
+    Exhaustive mode first peels vertices of degree < k, which can always
+    be colored last whatever the matchings, and then sweeps the canonical
+    covers of each component of the remaining k-core separately: covers of
+    disjoint components are independent.  ``covers_checked`` sums the
+    canonical covers swept (an empty core counts as one cover), and
+    ``budget`` bounds the raw count, the sum of (k!)**(|E(R)|-|V(R)|+1)
+    over the components R, before the sweep starts.  Sampled mode
+    draws seeded random permutation covers of all of G and is labeled as
+    such in the verdict.
+
+    A counterexample is a cover of all of G: the failing component's
+    permutations and the identity on every other edge.  It is re-checked
+    with :func:`find_transversal` before it is returned; SolverError
+    reports a disagreement.
     """
-    sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
-    tables = _PermTables(_search_order(g.vertex_count, sweep.edges),
-                         sweep.edges)
-    domains = [(1 << k) - 1] * g.vertex_count
+    if mode == "exhaustive":
+        parts = [(sweep, sweep.stream("canonical"))
+                 for sweep in _core_sweeps(g, k, budget)]
+        sampling: dict = {}
+    else:
+        sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
+        parts = [(sweep, stream)]
     checked = 0
-    for perms in stream:
-        checked += 1
-        tables.load(perms)
-        if next(_search(domains, tables.constraints), None) is None:
-            bad = sweep.cover_from(perms)
-            if find_transversal(cover_graph(g, bad)) is not None:
-                raise SolverError("sweep counterexample has a transversal")
-            return ColorabilityVerdict(mode, False, bad, checked, **sampling)
+    for sweep, stream in parts:
+        order = _sweep_order(g, sweep)
+        tables = _PermTables(order, sweep.edges)
+        domains = [(1 << k) - 1] * len(order)
+        for perms in stream:
+            checked += 1
+            tables.load(perms)
+            if next(_search(domains, tables.constraints), None) is None:
+                bad = sweep.cover_from(perms)
+                if find_transversal(cover_graph(g, bad)) is not None:
+                    raise SolverError("sweep counterexample has a transversal")
+                return ColorabilityVerdict(mode, False, bad, checked,
+                                           **sampling)
     return ColorabilityVerdict(mode, True, None, checked, **sampling)
 
 
 def dp_chromatic(g: PlaneGraph, k_max: int, *,
                  budget: int = DEFAULT_COVER_BUDGET) -> Optional[int]:
-    """Smallest k <= k_max whose exhaustive sweep is all-colorable, else None."""
+    """Smallest k <= k_max whose exhaustive sweep is all-colorable, else None.
+
+    Each k runs :func:`dp_colorable` in exhaustive mode: it sweeps the
+    canonical covers of the components of the k-core, and ``budget``
+    bounds their raw count, one k at a time.  At k = degeneracy + 1 the
+    core is empty, and one empty cover answers.
+    """
     for k in range(1, k_max + 1):
         if dp_colorable(g, k, "exhaustive", budget=budget).all_colorable:
             return k
@@ -679,8 +730,7 @@ def _residual_survey(g: PlaneGraph, cyc: tuple[int, ...], k: int,
             f"{total} residual configurations exceed budget {budget}")
     survey = ExtensionSurvey("exhaustive", cyc, k, 0, 0)
     for comp, sweep in zip(comps, sweeps):
-        order = [v for v in _search_order(g.vertex_count, sweep.edges)
-                 if v in comp]
+        order = _sweep_order(g, sweep)
         tables = _PermTables(order, sweep.edges)
         choices = [domains[v] for v in order]
         for perms in sweep.stream("canonical"):

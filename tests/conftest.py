@@ -10,7 +10,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dpcolor import CorpusSpec, build_from_rotation, corpus_generate
+from dpcolor import (CorpusSpec, build_from_rotation, corpus_generate,
+                     embed_planar)
 
 
 def cycle_rotations(n):
@@ -36,6 +37,21 @@ def triangulated_grid(side):
         points[u][1] - points[v][1], points[u][0] - points[v][0]))
         for v, ns in enumerate(nbrs)]
     return build_from_rotation(len(points), rotations)
+
+
+K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+               (0, 3), (1, 4), (2, 5)]
+
+
+def joined_pair(n, edges, m=None, other=None):
+    """The graph (n vertices, ``edges``) on 0..n-1 and a second one (m
+    vertices, ``other``; a copy of the first by default) on n..n+m-1,
+    joined by the path n-1, n+m, n of length 2."""
+    m, other = (n, edges) if other is None else (m, other)
+    both = list(edges) + [(a + n, b + n) for a, b in other]
+    return embed_planar(n + m + 1, both + [(n - 1, n + m), (n, n + m)],
+                        limit=n + m + 1)
 
 
 def holed_grid():

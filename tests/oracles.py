@@ -114,6 +114,14 @@ def degeneracy_order_quadratic(n: int, adj: Sequence[Iterable[int]]) -> list[int
     return peeled
 
 
+def degeneracy(n: int, adj: Sequence[Iterable[int]]) -> int:
+    """The most neighbors a vertex keeps when it is peeled in smallest-last
+    order."""
+    order = degeneracy_order_quadratic(n, adj)
+    return max((len(set(adj[v]) & set(order[:i]))
+                for i, v in enumerate(order)), default=0)
+
+
 def cycle_sides_face_bfs(g, verts: Sequence[int]
                          ) -> tuple[frozenset[int], frozenset[int]]:
     """(interior, exterior) vertex sets of a cycle by two-coloring the faces:

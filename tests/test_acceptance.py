@@ -60,23 +60,26 @@ def test_criterion_01_even_cycle_separation():
 def test_criterion_02_chain_inequality(corpus_n6):
     """chromatic <= list-chromatic <= correspondence-chromatic."""
     violations = []
-    completed = 0
+    completed = over_budget = unresolved = 0
     for g in corpus_n6:
         try:
             chi = chromatic(g, 6)
             lst = list_chromatic(g, 6)
             dp = dp_chromatic(g, 6, budget=2_000_000)
         except BudgetExceeded:
+            over_budget += 1
             continue
         if chi is None or lst is None or dp is None:
+            unresolved += 1
             continue
         completed += 1
         if not (chi <= lst <= dp):
             violations.append((g.rotations, chi, lst, dp))
     ok = not violations and completed >= 100
     _report(2, "chain inequality on the n<=6 corpus", ok,
-            f"{completed}/{len(corpus_n6)} completed, "
-            f"{len(violations)} violations")
+            f"{completed}/{len(corpus_n6)} completed, skipped "
+            f"{over_budget} on BudgetExceeded and {unresolved} on None "
+            f"within k_max=6, {len(violations)} violations")
     assert ok, violations
 
 

@@ -11,12 +11,14 @@ from pathlib import Path
 import dpcolor
 
 from dpcolor import (RULESET_G1, audit, build_from_rotation, class_membership,
-                     embed_planar, enumerate_covers, enumerate_cycles,
-                     extend_precoloring, list_chromatic, Precoloring,
-                     InconsistentPrecoloring, survey_precoloring_extensions)
+                     dp_colorable, embed_planar, enumerate_covers,
+                     enumerate_cycles, extend_precoloring, list_chromatic,
+                     Precoloring, InconsistentPrecoloring,
+                     survey_precoloring_extensions)
 from dpcolor.cover import _CoverSweep, _conjugate
-from dpcolor.solver import _extension_sweep
-from conftest import make_cycle
+from dpcolor.solver import (_extension_sweep, _PermTables, _search,
+                            _search_order)
+from conftest import K4_EDGES, PRISM_EDGES, joined_pair, make_cycle
 from oracles import has_transversal_brute
 
 
@@ -102,6 +104,44 @@ def test_residual_survey_disconnected_residual(octahedron):
     assert not fast.all_extendable
     assert fast.covers_checked == sum(p.canonical_covers for p in poles) == 2
     _assert_failures_recheck(octahedron, fast)
+
+
+def _whole_graph_colorable(g, k):
+    """Every canonical cover of all of g has a transversal: one kernel
+    search per cover of ``_CoverSweep(g, k).stream("canonical")``."""
+    sweep = _CoverSweep(g, k)
+    tables = _PermTables(_search_order(g.vertex_count, sweep.edges),
+                         sweep.edges)
+    domains = [(1 << k) - 1] * g.vertex_count
+    for perms in sweep.stream("canonical"):
+        tables.load(perms)
+        if next(_search(domains, tables.constraints), None) is None:
+            return False
+    return True
+
+
+def test_core_sweep_matches_whole_graph_sweep(corpus_n6):
+    # exhaustive dp_colorable sweeps only the components of the k-core; it
+    # must agree with the sweep over every canonical cover of all of G.
+    # Two K4s joined by a path of length 2 leave a 3-core of two
+    # components, and so do a prism and a K4, where only the second one
+    # fails; two triangles joined so leave an empty 3-core.
+    cases = [(g, k) for g in corpus_n6 for k in (1, 2, 3, 4)]
+    cases += [(joined_pair(4, K4_EDGES), 3),
+              (joined_pair(6, PRISM_EDGES, 4, K4_EDGES), 3),
+              (joined_pair(3, [(0, 1), (1, 2), (0, 2)]), 3)]
+    swept = 0
+    for g, k in cases:
+        if math.factorial(k) ** (g.edge_count - g.vertex_count + 1) > 24 ** 4:
+            continue
+        verdict = dp_colorable(g, k)
+        assert verdict.all_colorable == _whole_graph_colorable(g, k), \
+            (g.rotations, k)
+        bad = verdict.counterexample
+        if bad is not None:
+            assert not has_transversal_brute(bad.lists, bad.matchings)
+        swept += 1
+    assert swept == 490
 
 
 def test_canonical_covers_counts_the_canonical_stream(octahedron):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,13 +10,16 @@ import pytest
 from dpcolor import (BudgetExceeded, CoverGraph, InconsistentPrecoloring,
                      Precoloring, bfs_tree_edges, build_from_rotation,
                      chromatic, cover_graph, diagonal_cover, dp_chromatic,
-                     dp_colorable, extend_precoloring, find_transversal,
-                     full_cover, list_chromatic, random_chooser, straighten,
+                     dp_colorable, embed_planar, extend_precoloring,
+                     find_transversal, full_cover, list_chromatic,
+                     random_chooser, straighten,
                      survey_precoloring_extensions, table_chooser)
 import dpcolor.solver as solver
-from conftest import make_cycle, triangulated_grid
-from oracles import (choosable_bounded_pool, degeneracy_order_quadratic,
-                     greedy_extension_order_scan, has_transversal_brute)
+from conftest import (K4_EDGES, PRISM_EDGES, joined_pair, make_cycle,
+                      triangulated_grid)
+from oracles import (choosable_bounded_pool, degeneracy,
+                     degeneracy_order_quadratic, greedy_extension_order_scan,
+                     has_transversal_brute)
 
 
 def _check_transversal(h: CoverGraph, t) -> None:
@@ -111,6 +115,49 @@ def test_dp_colorable_k1(k1):
 def test_dp_colorable_budget(octahedron):
     with pytest.raises(BudgetExceeded):
         dp_colorable(octahedron, 4, budget=1000)
+
+
+def test_dp_colorable_degeneracy_bound_sweeps_one_cover(corpus_n6):
+    # degeneracy 3 leaves an empty 4-core: one empty cover answers, though
+    # all of G has more raw covers than the budget allows
+    def beta(g):
+        return g.edge_count - g.vertex_count + 1
+
+    g = next(g for g in corpus_n6 if beta(g) >= 5 and degeneracy(
+        g.vertex_count, [g.neighbors(v) for v in range(g.vertex_count)]) == 3)
+    assert math.factorial(4) ** beta(g) > 24 ** 4
+    verdict = dp_colorable(g, 4, budget=24 ** 4)
+    assert verdict.all_colorable and verdict.covers_checked == 1
+
+
+def test_dp_colorable_counts_sum_over_core_components():
+    # at k = 3 the middle vertex of the joining path peels, and the two
+    # copies are the components of the 3-core
+    prism = embed_planar(6, PRISM_EDGES)
+    pair = joined_pair(6, PRISM_EDGES)
+    one = dp_colorable(prism, 3)
+    assert one.all_colorable
+    raw = 2 * math.factorial(3) ** 4
+    verdict = dp_colorable(pair, 3, budget=raw)
+    assert verdict.all_colorable
+    assert verdict.covers_checked == 2 * one.covers_checked
+    with pytest.raises(BudgetExceeded):
+        dp_colorable(pair, 3, budget=raw - 1)
+    # two K4s: the first fails, and its counterexample is lifted to all of
+    # G with the identity on every edge outside that K4
+    pair = joined_pair(4, K4_EDGES)
+    raw = 2 * math.factorial(3) ** 3
+    verdict = dp_colorable(pair, 3, budget=raw)
+    assert not verdict.all_colorable and verdict.covers_checked == 1
+    bad = verdict.counterexample
+    assert set(bad.matchings) == set(pair.edges())
+    assert not has_transversal_brute(bad.lists, bad.matchings)
+    first = frozenset(range(4))
+    for e, pairs in bad.matchings.items():
+        if not first.issuperset(e):
+            assert pairs == ((1, 1), (2, 2), (3, 3))
+    with pytest.raises(BudgetExceeded):
+        dp_colorable(pair, 3, budget=raw - 1)
 
 
 def test_dp_colorable_sampled_mode(c4):
