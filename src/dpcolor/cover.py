@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .plane_graph import PlaneGraph, _norm_edge
+from .plane_graph import PlaneGraph, _components, _norm_edge, _reach
 
 
 class CoverError(Exception):
@@ -242,18 +242,20 @@ def bfs_tree_edges(g: PlaneGraph, root: int = 0,
                    ) -> list[tuple[int, int]]:
     """Edges of the breadth-first spanning tree from ``root`` (sorted nbrs),
     of the subgraph induced by ``within`` when given (it must hold root)."""
-    inside = None if within is None else frozenset(within)
-    seen = {root}
-    queue = [root]
-    tree: list[tuple[int, int]] = []
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(g.neighbors(u)):
-            if v not in seen and (inside is None or v in inside):
-                seen.add(v)
-                tree.append(_norm_edge(u, v))
-                queue.append(v)
-    return tree
+    inside = frozenset(range(g.vertex_count) if within is None else within)
+    return [_norm_edge(u, v)
+            for u, v in _discovery_edges(g._adj, _reach(g._adj, root, inside))]
+
+
+def _discovery_edges(adj: Sequence[frozenset[int]], order: Sequence[int]
+                     ) -> Iterator[tuple[int, int]]:
+    """(parent, vertex) per vertex after the first of a breadth-first
+    ``order``; parents never move back along it, so one pointer finds them."""
+    p = 0
+    for v in order[1:]:
+        while v not in adj[order[p]]:
+            p += 1
+        yield order[p], v
 
 
 def _conjugate(p: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -291,6 +293,8 @@ class _CoverSweep:
 
     def __init__(self, g: PlaneGraph, k: int,
                  vertices: Optional[Iterable[int]] = None):
+        if k < 1:
+            raise CoverError("k must be at least 1")
         self.g = g
         self.k = k
         keep = frozenset(range(g.vertex_count) if vertices is None
@@ -414,8 +418,6 @@ def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
     twists), so for k >= 3 the stream may hold several members of one
     relabeling class; downstream sweeps exploit exactly that symmetry.
     """
-    if k < 1:
-        raise CoverError("k must be at least 1")
     sweep = _CoverSweep(g, k)
     return map(sweep.cover_from, sweep.stream("full"))
 
@@ -442,58 +444,35 @@ def straighten(g: PlaneGraph, cover: Cover,
     for u, v in edges:
         if not g.has_edge(u, v):
             raise CoverError(f"({u},{v}) is not an edge")
-    # union-find acyclicity check
-    parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    n = g.vertex_count
+    forest: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise NotAForest(f"edge ({u},{v}) closes a cycle")
-        parent[ru] = rv
-
-    forest_adj: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
-    for u, v in edges:
-        forest_adj[u].append(v)
-        forest_adj[v].append(u)
-
-    relabel: list[dict[int, int]] = [
-        {c: c for c in cover.lists[v]} for v in range(g.vertex_count)
-    ]
-    visited = [False] * g.vertex_count
-    for root in range(g.vertex_count):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(forest_adj[u]):
-                if visited[v]:
-                    continue
-                pairs = cover.matching(u, v)
-                lu, lv = cover.lists[u], cover.lists[v]
-                if not (len(pairs) == len(lu) == len(lv)):
-                    raise NonPerfectTreeMatching(
-                        f"edge ({u},{v}): matching is not a bijection")
-                inverse = {cv: cu for cu, cv in pairs}
-                relabel[v] = {cv: relabel[u][inverse[cv]] for cv in lv}
-                visited[v] = True
-                queue.append(v)
+        forest[u].add(v)
+        forest[v].add(u)
+    everything = frozenset(range(n))
+    comps = _components(forest, everything)
+    # n vertices in c components span n - c edges, or more with a cycle
+    if len(edges) != n - len(comps):
+        raise NotAForest(f"the {len(edges)} edges close a cycle")
+    relabel: list[dict[int, int]] = [{c: c for c in cl} for cl in cover.lists]
+    for comp in comps:
+        for u, v in _discovery_edges(forest,
+                                     _reach(forest, min(comp), everything)):
+            pairs = cover.matching(u, v)
+            lu, lv = cover.lists[u], cover.lists[v]
+            if not (len(pairs) == len(lu) == len(lv)):
+                raise NonPerfectTreeMatching(
+                    f"edge ({u},{v}): matching is not a bijection")
+            inverse = {cv: cu for cu, cv in pairs}
+            relabel[v] = {cv: relabel[u][inverse[cv]] for cv in lv}
 
     new_lists = tuple(tuple(relabel[v][c] for c in cover.lists[v])
-                      for v in range(g.vertex_count))
-    new_matchings: dict[tuple[int, int], PairList] = {}
-    for (u, v), pairs in cover.matchings.items():
-        new_matchings[(u, v)] = tuple(sorted(
-            (relabel[u][cu], relabel[v][cv]) for cu, cv in pairs))
+                      for v in range(n))
+    new_matchings = {(u, v): tuple(sorted((relabel[u][cu], relabel[v][cv])
+                                          for cu, cv in pairs))
+                     for (u, v), pairs in cover.matchings.items()}
     new_cover = Cover(new_lists, new_matchings)
     cert = StraightnessCertificate(
         frozenset(edges),
-        tuple(tuple(sorted(relabel[v].items())) for v in range(g.vertex_count)))
+        tuple(tuple(sorted(relabel[v].items())) for v in range(n)))
     return new_cover, cert

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .plane_graph import PlaneGraph
-from .structure import VertexFaceBadness, _Analysis, _face_groups
+from .plane_graph import PlaneGraph, _components
+from .structure import VertexFaceBadness, _Analysis
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face id)
 
@@ -405,7 +405,8 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     tri_edges = {e for f in an.triangles for e in f.edge_set()}
     s_prime = sum(1 for e in cross_edges if e not in tri_edges)
     f3 = len(an.outer_triangles)
-    rpatches = _face_groups(an.adjacency, an.outer_triangles)
+    rpatches = _components(an.adjacency.neighbor_sets,
+                           frozenset(an.outer_triangles))
     t1 = sum(1 for p in rpatches if len(p) == 1)
     t2 = sum(1 for p in rpatches if len(p) == 2)
     touching = set(an.outer_triangles)

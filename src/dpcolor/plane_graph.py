@@ -290,6 +290,33 @@ def faces(g: PlaneGraph) -> list[Face]:
     return list(g.faces)
 
 
+def _reach(adj: Sequence[frozenset[int]], start: int,
+           subset: frozenset[int]) -> list[int]:
+    """The vertices of ``subset`` reachable from ``start``, in BFS order
+    with neighbors in ascending order."""
+    order = [start]
+    seen = {start}
+    for u in order:
+        for w in sorted(adj[u] & subset):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _components(adj: Sequence[frozenset[int]],
+                subset: frozenset[int]) -> list[frozenset[int]]:
+    """The components of the subgraph that ``subset`` induces, by least
+    vertex."""
+    comps: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for v in sorted(subset):
+        if v not in seen:
+            comps.append(frozenset(_reach(adj, v, subset)))
+            seen |= comps[-1]
+    return comps
+
+
 def enumerate_cycles(g: PlaneGraph, max_len: int) -> list[Cycle]:
     """All simple cycles of length at most ``max_len``, one per cycle.
 

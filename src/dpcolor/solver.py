@@ -21,10 +21,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cover import (Cover, CoverGraph, _CoverSweep, cover_graph, full_cover,
                     table_chooser)
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, _components, _reach
 
 DEFAULT_COVER_BUDGET = 10_000_000
 DEFAULT_NODE_BUDGET = 20_000_000
+KEPT_FAILURES = 64  # concrete failures an extension survey keeps
 
 
 class SolverError(Exception):
@@ -177,32 +178,6 @@ def _peel(adj: Sequence[frozenset[int]], live: Iterable[int], k: int,
     return peeled, frozenset(live)
 
 
-def _reach(adj: Sequence[frozenset[int]], start: int,
-           subset: frozenset[int]) -> list[int]:
-    """The vertices of ``subset`` reachable from ``start``, in BFS order
-    with neighbors in ascending order."""
-    order = [start]
-    seen = {start}
-    for u in order:
-        for w in sorted(adj[u] & subset):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    return order
-
-
-def _components(adj: Sequence[frozenset[int]],
-                subset: frozenset[int]) -> list[frozenset[int]]:
-    """The components of the subgraph that ``subset`` induces, by least
-    vertex."""
-    left = set(subset)
-    comps = []
-    while left:
-        comps.append(frozenset(_reach(adj, min(left), subset)))
-        left -= comps[-1]
-    return comps
-
-
 def _search_order(n: int, edges: Iterable[tuple[int, int]],
                   first: Sequence[int] = ()) -> list[int]:
     """``first`` as given, then every other vertex in smallest-last order."""
@@ -330,6 +305,8 @@ def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
     """
     sweep = _CoverSweep(g, k)
     if mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         return (sweep, sweep.stream("sampled", samples, seed),
                 {"samples": samples, "seed": seed})
     if mode != "exhaustive":
@@ -350,10 +327,9 @@ def _core_sweeps(g: PlaneGraph, k: int, budget: int) -> list[_CoverSweep]:
     """One sweep per component of the k-core of ``g`` (one empty sweep when
     the core is empty), after checking their raw covers against ``budget``.
     """
-    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
-    core = _peel(adj, range(g.vertex_count), k)[1]
+    core = _peel(g._adj, range(g.vertex_count), k)[1]
     sweeps = [_CoverSweep(g, k, comp)
-              for comp in _components(adj, core) or [frozenset()]]
+              for comp in _components(g._adj, core) or [frozenset()]]
     raw = sum(sweep.total_covers for sweep in sweeps)
     if raw > budget:
         raise BudgetExceeded(
@@ -561,12 +537,11 @@ def list_chromatic(g: PlaneGraph, k_max: int, *,
     pools (fresh colors are introduced at most k per vertex, so a pool of
     k*|V| colors already contains a representative of every assignment).
     """
-    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
     counter = [budget]
     full = frozenset(range(g.vertex_count))
     # a graph with an edge is not 1-choosable
     for k in range(2 if g.edge_count else 1, k_max + 1):
-        if _Choosability(adj, k, counter).choosable(full):
+        if _Choosability(g._adj, k, counter).choosable(full):
             return k
     return None
 
@@ -586,7 +561,8 @@ class ExtensionSurvey:
 
     Sampled mode sweeps seeded covers of all of G: ``covers_checked``
     counts them, ``precolorings_checked`` the valid precolorings of C
-    under them, and ``failures`` holds each of those that does not extend.
+    under them, and ``failure_count`` those that do not extend; the first
+    :data:`KEPT_FAILURES` are kept in ``failures``.
 
     Exhaustive mode sweeps the residual graph G - C, one component at a
     time.  ``covers_checked`` sums the canonical covers of the components
@@ -595,7 +571,8 @@ class ExtensionSurvey:
     one banned color set per residual vertex, each standing for the
     precolorings of C that ban those colors.  Each failure is one
     uncolorable configuration, lifted to a cover of G and a valid
-    precoloring of C that does not extend under it.
+    precoloring of C that does not extend under it; ``failure_count``
+    counts them and the first :data:`KEPT_FAILURES` are kept.
 
     At k = 1 a cycle with an edge has no valid precoloring, so such a
     survey is vacuous: one cover, ``precolorings_checked == 0`` and
@@ -610,10 +587,11 @@ class ExtensionSurvey:
     failures: list[ExtensionFailure] = field(default_factory=list)
     samples: Optional[int] = None
     seed: Optional[int] = None
+    failure_count: int = 0
 
     @property
     def all_extendable(self) -> bool:
-        return not self.failures
+        return self.failure_count == 0
 
 
 def _extension_sweep(g: PlaneGraph, k: int, first: Sequence[int],
@@ -697,24 +675,25 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
         survey.precolorings_checked += len(results)
         for pre, extends in results:
             if not extends:
-                colors = {v: c + 1 for v, c in zip(cyc, pre)}
-                survey.failures.append(ExtensionFailure(
-                    sweep.cover_from(perms), Precoloring.of(colors)))
+                survey.failure_count += 1
+                if len(survey.failures) < KEPT_FAILURES:
+                    colors = {v: c + 1 for v, c in zip(cyc, pre)}
+                    survey.failures.append(ExtensionFailure(
+                        sweep.cover_from(perms), Precoloring.of(colors)))
     return survey
 
 
 def _residual_survey(g: PlaneGraph, cyc: tuple[int, ...], k: int,
                      budget: int) -> ExtensionSurvey:
     """The exhaustive survey, swept on the components of G - C."""
-    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
     on_cycle = frozenset(cyc)
-    comps = _components(adj, frozenset(range(g.vertex_count)) - on_cycle)
+    comps = _components(g._adj, frozenset(range(g.vertex_count)) - on_cycle)
     comps = comps or [frozenset()]
     full = (1 << k) - 1
     # per residual vertex: its open colors under each banned set
     domains = {v: [full & ~sum(1 << c for c in banned)
                    for banned in itertools.combinations(
-                       range(k), min(len(adj[v] & on_cycle), k))]
+                       range(k), min(len(g._adj[v] & on_cycle), k))]
                for comp in comps for v in comp}
     sweeps = [_CoverSweep(g, k, comp) for comp in comps]
     # a component with non-tree edges first builds its (k!)**2 renaming table
@@ -738,8 +717,11 @@ def _residual_survey(g: PlaneGraph, cyc: tuple[int, ...], k: int,
             tables.load(perms)
             for open_colors in itertools.product(*choices):
                 survey.precolorings_checked += 1
-                colorings = _search(open_colors, tables.constraints)
-                if next(colorings, None) is None:
+                if next(_search(open_colors, tables.constraints),
+                        None) is not None:
+                    continue
+                survey.failure_count += 1
+                if len(survey.failures) < KEPT_FAILURES:
                     survey.failures.append(_lifted_failure(
                         g, cyc, k, dict(zip(sweep.edges, perms)),
                         dict(zip(order, open_colors))))
@@ -806,6 +788,5 @@ def greedy_extension_order(g: PlaneGraph, cycle: Sequence[int],
     coloring the reversed order always leaves a free color, whatever the
     matchings are, so success makes any per-cover sweep unnecessary.
     """
-    adj = [frozenset(g.neighbors(v)) for v in range(g.vertex_count)]
-    peeled, rest = _peel(adj, range(g.vertex_count), k, keep=cycle)
+    peeled, rest = _peel(g._adj, range(g.vertex_count), k, keep=cycle)
     return None if rest - set(cycle) else peeled[::-1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .plane_graph import (Cycle, Face, PlaneGraph, _norm_edge,
+from .plane_graph import (Cycle, Face, PlaneGraph, _components, _norm_edge,
                           build_from_rotation, enumerate_cycles)
 
 
@@ -160,24 +160,10 @@ class FaceAdjacency:
     def neighbors(self, f: int) -> tuple[int, ...]:
         return self._neighbors[f]
 
-
-def _face_groups(adjacency: FaceAdjacency, face_ids: Iterable[int]
-                 ) -> list[list[int]]:
-    """Connected groups, by shared edges, of a set of faces; each group is
-    sorted and the groups come in order of their smallest face."""
-    left = set(face_ids)
-    groups: list[list[int]] = []
-    for start in sorted(left):
-        if start in left:
-            left.remove(start)
-            group = [start]
-            for x in group:  # grows while it is read: a breadth-first walk
-                for y in adjacency.neighbors(x):
-                    if y in left:
-                        left.remove(y)
-                        group.append(y)
-            groups.append(sorted(group))
-    return groups
+    @cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Per face, the faces it shares an edge with."""
+        return tuple(map(frozenset, self._shared))
 
 
 class _Analysis:
@@ -276,8 +262,8 @@ class _Analysis:
     @cached_property
     def patches(self) -> list[TrianglePatch]:
         patches = []
-        for members in _face_groups(self.adjacency,
-                                    (f.id for f in self.triangles)):
+        for members in map(sorted, _components(self.adjacency.neighbor_sets,
+                                               self.triangle_ids)):
             edge_count: dict[tuple[int, int], int] = {}
             verts: set[int] = set()
             for fid in members:

@@ -196,3 +196,39 @@ def greedy_extension_order_scan(g, cycle: Sequence[int],
         peeled.append(pick)
     peeled.reverse()
     return peeled
+
+
+def bfs_tree_edges_queue(g, root: int = 0,
+                         within: "Iterable[int] | None" = None
+                         ) -> list[tuple[int, int]]:
+    """Breadth-first spanning tree edges by an explicit queue: neighbors in
+    ascending order, each vertex's edge recorded when it is discovered."""
+    inside = None if within is None else set(within)
+    seen = {root}
+    queue = [root]
+    tree: list[tuple[int, int]] = []
+    while queue:
+        u = queue.pop(0)
+        for v in sorted(g.neighbors(u)):
+            if v not in seen and (inside is None or v in inside):
+                seen.add(v)
+                tree.append((min(u, v), max(u, v)))
+                queue.append(v)
+    return tree
+
+
+def has_cycle_union_find(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the (distinct) edges close a cycle, by union-find."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in {(min(u, v), max(u, v)) for u, v in edges}:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return True
+        parent[ru] = rv
+    return False

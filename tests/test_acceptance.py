@@ -134,13 +134,8 @@ def _extension_check(graphs, max_len: int, good_only: bool, seed: int):
         if cyc is None:
             stats["skipped"] += 1
             continue
-        if g.vertex_count <= 6:
-            survey = survey_precoloring_extensions(g, cyc, 4, "exhaustive")
-            stats["exhaustive"] += 1
-        else:
-            survey = survey_precoloring_extensions(g, cyc, 4, "sampled",
-                                                   samples=500, seed=seed)
-            stats["sampled"] += 1
+        survey = survey_precoloring_extensions(g, cyc, 4, "exhaustive")
+        stats["exhaustive"] += 1
         if not survey.all_extendable:
             failures.append((g.rotations, cyc, len(survey.failures)))
     return stats, failures

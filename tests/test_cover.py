@@ -7,13 +7,17 @@ import random
 
 import pytest
 
-from dpcolor import (BadPermutation, NonPerfectTreeMatching, NotAForest,
-                     bfs_tree_edges, build_from_rotation, cover_graph,
-                     diagonal_cover, enumerate_covers, full_cover,
-                     identity_chooser, make_cover, random_chooser, straighten,
-                     table_chooser)
+import networkx as nx
+
+from dpcolor import (BadPermutation, CoverError, NonPerfectTreeMatching,
+                     NotAForest, bfs_tree_edges, build_from_rotation,
+                     cover_graph, diagonal_cover, enumerate_covers,
+                     enumerate_cycles, full_cover, identity_chooser,
+                     make_cover, random_chooser, straighten, table_chooser)
 from conftest import make_cycle
-from oracles import count_transversals, has_transversal_brute, list_colorable
+from oracles import (bfs_tree_edges_queue, count_transversals,
+                     has_cycle_union_find, has_transversal_brute,
+                     list_colorable)
 
 
 def test_diagonal_cover_c4_pairs(c4):
@@ -155,6 +159,77 @@ def test_straighten_errors(c4):
     partial = make_cover(c4, [(1, 2)] * 4, {(0, 1): [(1, 1)]})
     with pytest.raises(NonPerfectTreeMatching):
         straighten(c4, partial, [(0, 1)])
+
+
+def _induced_components(g, vertices):
+    graph = nx.Graph(g.edges())
+    graph.add_nodes_from(range(g.vertex_count))
+    return [sorted(c) for c in
+            nx.connected_components(graph.subgraph(vertices))]
+
+
+def _naive_core(g, k):
+    live = set(range(g.vertex_count))
+    while True:
+        low = {v for v in live if len(live.intersection(g.neighbors(v))) < k}
+        if not low:
+            return live
+        live -= low
+
+
+def test_bfs_tree_edges_matches_queue_oracle_from_every_root(corpus_n6):
+    for g in corpus_n6:
+        for root in range(g.vertex_count):
+            assert bfs_tree_edges(g, root) == bfs_tree_edges_queue(g, root)
+
+
+def test_bfs_tree_edges_within_matches_queue_oracle(corpus_n6):
+    checked = 0
+    for g in corpus_n6:
+        parts = [c for k in (2, 3)
+                 for c in _induced_components(g, _naive_core(g, k))]
+        for cyc in enumerate_cycles(g, 5):
+            rest = set(range(g.vertex_count)) - set(cyc.vertices)
+            parts += _induced_components(g, rest)
+        for comp in parts:
+            for root in comp:
+                assert bfs_tree_edges(g, root, comp) \
+                    == bfs_tree_edges_queue(g, root, comp)
+                checked += 1
+    assert checked > 1000
+
+
+def test_straighten_rejects_exactly_the_cyclic_edge_sets(corpus_n6):
+    rng = random.Random(20241018)
+    outcomes = {True: 0, False: 0}
+    for g in corpus_n6:
+        edges = g.edges()
+        for _ in range(6):
+            subset = [e for e in edges if rng.random() < 0.6]
+            cov = full_cover(g, 3, random_chooser(rng.randrange(10 ** 9)))
+            cyclic = has_cycle_union_find(g.vertex_count, subset)
+            outcomes[cyclic] += 1
+            if cyclic:
+                with pytest.raises(NotAForest):
+                    straighten(g, cov, subset)
+                continue
+            out, cert = straighten(g, cov, subset)
+            assert cert.verify(out)
+            assert cert.straight_edges == frozenset(subset)
+            assert count_transversals(cov.lists, cov.matchings) \
+                == count_transversals(out.lists, out.matchings)
+    assert min(outcomes.values()) >= 100
+
+
+def test_straighten_error_order(c4):
+    # not an edge, then a cycle, then a matching that is not a bijection
+    partial = make_cover(c4, [(1, 2)] * 4, {(0, 1): [(1, 1)]})
+    with pytest.raises(CoverError, match="not an edge"):
+        straighten(c4, partial, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(NotAForest):
+        straighten(c4, partial, c4.edges())
+    with pytest.raises(NonPerfectTreeMatching):
+        straighten(c4, partial, [(1, 2), (0, 1)])
 
 
 def test_relabeling_preserves_transversal_counts(corpus_n6):

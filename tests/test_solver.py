@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from dpcolor import (BudgetExceeded, CoverGraph, InconsistentPrecoloring,
+from dpcolor import (BudgetExceeded, CoverError, CoverGraph,
+                     InconsistentPrecoloring,
                      Precoloring, bfs_tree_edges, build_from_rotation,
                      chromatic, cover_graph, diagonal_cover, dp_chromatic,
                      dp_colorable, embed_planar, extend_precoloring,
@@ -164,6 +165,54 @@ def test_dp_colorable_sampled_mode(c4):
     v = dp_colorable(c4, 2, "sampled", samples=200, seed=3)
     assert v.mode == "sampled" and v.seed == 3
     assert not v.all_colorable  # the swap cover appears among 200 samples
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_sweeps_reject_empty_samples(c4, samples):
+    with pytest.raises(ValueError, match="samples"):
+        dp_colorable(c4, 2, "sampled", samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        survey_precoloring_extensions(c4, (0, 1, 2), 2, "sampled",
+                                      samples=samples)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_sweeps_reject_k_below_one(c4, k, mode):
+    with pytest.raises(CoverError, match="k must be at least 1"):
+        dp_colorable(c4, k, mode)
+    with pytest.raises(CoverError, match="k must be at least 1"):
+        survey_precoloring_extensions(c4, (0, 1, 2), k, mode)
+
+
+def _alternating_wheel():
+    """The wheel with 8 spokes, hub 8, and 0, 1, 2, 3 every other rim vertex."""
+    rim = [0, 4, 1, 5, 2, 6, 3, 7]
+    rot = [()] * 9
+    for i, v in enumerate(rim):
+        rot[v] = (rim[(i + 1) % 8], 8, rim[i - 1])
+    rot[8] = tuple(rim)
+    return build_from_rotation(9, rot)
+
+
+def test_survey_keeps_a_bounded_share_of_failures():
+    # the hub sees all four cycle vertices, so four colors are banned there
+    # under every configuration: all 6**4 of them fail
+    g = _alternating_wheel()
+    survey = survey_precoloring_extensions(g, (0, 1, 2, 3), 4)
+    assert survey.failure_count == survey.precolorings_checked == 1296
+    assert not survey.all_extendable
+    assert len(survey.failures) == solver.KEPT_FAILURES >= 64
+    for fail in survey.failures:
+        assert extend_precoloring(g, fail.cover, fail.precoloring) is None
+
+
+def test_sampled_survey_counts_every_failure(c4):
+    survey = survey_precoloring_extensions(c4, (0, 1, 2), 2, "sampled",
+                                           samples=200, seed=1)
+    assert survey.failure_count > len(survey.failures) == solver.KEPT_FAILURES
+    for fail in survey.failures:
+        assert extend_precoloring(c4, fail.cover, fail.precoloring) is None
 
 
 def test_dp_chromatic_values(c5, c6, k4):
