@@ -9,7 +9,7 @@ in the rotation at v).  One face is distinguished as the outer face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 
 class PlaneGraphError(Exception):
@@ -165,7 +165,7 @@ class PlaneGraph:
 
 
 def _validate_rotations(vertex_count: int,
-                        rotations: Sequence[Sequence[int]]) -> None:
+                        rotations: Sequence[Sequence[int]]) -> list[set[int]]:
     if vertex_count < 1:
         raise InconsistentRotation("vertex_count must be positive")
     if len(rotations) != vertex_count:
@@ -187,6 +187,7 @@ def _validate_rotations(vertex_count: int,
             if u not in neighbor_sets[v]:
                 raise InconsistentRotation(
                     f"asymmetric adjacency: {v} lists {u} only one way")
+    return neighbor_sets
 
 
 def _trace_faces(vertex_count: int,
@@ -242,7 +243,7 @@ def build_from_rotation(vertex_count: int,
         NonPlanarClosure: Euler check fails (includes disconnected input).
         BadHint: the hint matches no face.
     """
-    _validate_rotations(vertex_count, rotations)
+    adj = _validate_rotations(vertex_count, rotations)
     rots = tuple(tuple(r) for r in rotations)
     edge_count = sum(len(r) for r in rots) // 2
 
@@ -260,15 +261,7 @@ def build_from_rotation(vertex_count: int,
         raise NonPlanarClosure(
             f"Euler check failed: {vertex_count} - {edge_count} + {face_count} != 2")
     # Euler alone admits disconnected unions with handles; a direct check is cheap.
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in rots[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != vertex_count:
+    if len(_reach(adj, 0, frozenset(range(vertex_count)))) != vertex_count:
         raise NonPlanarClosure("graph is disconnected")
 
     faces = tuple(Face(i, b) for i, b in enumerate(boundaries))
@@ -290,21 +283,21 @@ def faces(g: PlaneGraph) -> list[Face]:
     return list(g.faces)
 
 
-def _reach(adj: Sequence[frozenset[int]], start: int,
+def _reach(adj: Sequence[Collection[int]], start: int,
            subset: frozenset[int]) -> list[int]:
     """The vertices of ``subset`` reachable from ``start``, in BFS order
     with neighbors in ascending order."""
     order = [start]
     seen = {start}
     for u in order:
-        for w in sorted(adj[u] & subset):
-            if w not in seen:
+        for w in sorted(adj[u]):
+            if w not in seen and w in subset:
                 seen.add(w)
                 order.append(w)
     return order
 
 
-def _components(adj: Sequence[frozenset[int]],
+def _components(adj: Sequence[Collection[int]],
                 subset: frozenset[int]) -> list[frozenset[int]]:
     """The components of the subgraph that ``subset`` induces, by least
     vertex."""

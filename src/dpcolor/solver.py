@@ -296,12 +296,11 @@ class _PermTables:
 
 
 def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
-             budget: int, exhaustive: str = "canonical"
-             ) -> tuple[_CoverSweep, Iterator, dict]:
+             budget: int) -> tuple[_CoverSweep, Iterator, dict]:
     """The sweep, its cover stream and the verdict's sampling fields.
 
-    Mode "exhaustive" reads the ``exhaustive`` stream, after checking its
-    size against ``budget``.
+    Mode "exhaustive" reads the full stream, after checking its size
+    against ``budget``.
     """
     sweep = _CoverSweep(g, k)
     if mode == "sampled":
@@ -314,7 +313,7 @@ def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
     if sweep.total_covers > budget:
         raise BudgetExceeded(
             f"{sweep.total_covers} covers exceed budget {budget}")
-    return sweep, sweep.stream(exhaustive), {}
+    return sweep, sweep.stream("full"), {}
 
 
 def _sweep_order(g: PlaneGraph, sweep: _CoverSweep) -> list[int]:
@@ -661,11 +660,14 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
     is vacuous (``precolorings_checked == 0``), not a proof of extension.
     """
     cyc = _check_cycle(g, cycle)
-    # at k = 1 an edge inside the cycle leaves no valid precoloring, which
-    # the one cover of all of G shows; the lifted failures need k >= 2 there
-    vacuous = k == 1 and any(g.has_edge(u, v)
-                             for u, v in itertools.combinations(cyc, 2))
-    if mode == "exhaustive" and k >= 1 and not vacuous:
+    if mode == "exhaustive" and k == 1 and any(
+            g.has_edge(u, v) for u, v in itertools.combinations(cyc, 2)):
+        # an edge inside the cycle leaves no valid precoloring under the one
+        # 1-cover of G; the lifted failures need k >= 2 there
+        if budget < 1:
+            raise BudgetExceeded(f"1 covers exceed budget {budget}")
+        return ExtensionSurvey("exhaustive", cyc, 1, 1, 0)
+    if mode == "exhaustive" and k >= 1:
         return _residual_survey(g, cyc, k, budget)
     sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
     survey = ExtensionSurvey(mode, cyc, k, 0, 0, **sampling)
@@ -768,7 +770,7 @@ def _extension_counts(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
     precoloring breaks the common-renaming symmetry.
     """
     _, stream, _ = _request(g, k, "sampled" if samples else "exhaustive",
-                            samples, seed, DEFAULT_COVER_BUDGET, "full")
+                            samples, seed, DEFAULT_COVER_BUDGET)
     checked = valid = failures = 0
     for _, results in _extension_sweep(g, k, [v for v, _ in pre.items],
                                        [1 << (c - 1) for _, c in pre.items],

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .plane_graph import (Cycle, Face, PlaneGraph, _components, _norm_edge,
-                          build_from_rotation, enumerate_cycles)
+                          _reach, build_from_rotation, enumerate_cycles)
 
 
 class StructureError(Exception):
@@ -428,29 +428,19 @@ def cycle_sides(g: PlaneGraph, cycle: Cycle | Sequence[int]
                 ) -> tuple[frozenset[int], frozenset[int]]:
     """(interior, exterior) vertex sets of a cycle, relative to the outer face.
 
-    Faces are two-colored: crossing a cycle edge flips sides, crossing any
-    other edge does not; the side holding the outer face is the exterior.
+    The exterior holds the vertices off the cycle on the faces reached from
+    the outer face across edges off the cycle: two faces sharing such an
+    edge lie on the same side, and a cycle edge always separates the two
+    faces beside it.  The interior holds every other vertex off the cycle.
     """
     cyc = _cycle_of(g, cycle)
-    on_cycle = cyc.vertex_set()
     cyc_edges = cyc.edge_set()
-    side: dict[int, int] = {g.outer_face_id: 0}
-    stack = [g.outer_face_id]
-    while stack:
-        f = stack.pop()
-        walk = g.face(f).boundary
-        for i, u in enumerate(walk):
-            v = walk[(i + 1) % len(walk)]
-            other = g.face_of_directed_edge(v, u)
-            if other not in side:
-                side[other] = side[f] ^ (_norm_edge(u, v) in cyc_edges)
-                stack.append(other)
-    interior: set[int] = set()
-    exterior: set[int] = set()
-    for f in g.faces:
-        bucket = interior if side.get(f.id, 0) else exterior
-        bucket |= f.vertex_set() - on_cycle
-    return frozenset(interior), frozenset(exterior)
+    across = [[g.face_of_directed_edge(v, u)
+               for u, v in zip(f.boundary, f.boundary[1:] + f.boundary[:1])
+               if _norm_edge(u, v) not in cyc_edges] for f in g.faces]
+    outside = _reach(across, g.outer_face_id, frozenset(range(len(across))))
+    outer = cyc.vertex_set().union(*(g.face(f).boundary for f in outside))
+    return frozenset(range(g.vertex_count)) - outer, outer - cyc.vertex_set()
 
 
 def classify_cycle(g: PlaneGraph, cycle: Cycle | Sequence[int]

@@ -62,6 +62,11 @@ def test_rejects_loop_and_duplicate():
 def test_rejects_disconnected():
     with pytest.raises(NonPlanarClosure):
         build_from_rotation(4, [(1,), (0,), (3,), (2,)])
+    # toroidal K4 beside a K2 passes Euler (6 - 7 + 3 = 2); only the
+    # connectivity check rejects it
+    with pytest.raises(NonPlanarClosure, match="^graph is disconnected$"):
+        build_from_rotation(6, [(1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1),
+                                (5,), (4,)])
 
 
 def test_rejects_nonplanar_closure():

@@ -432,6 +432,8 @@ def test_k1_questions_on_large_grid_within_default_recursion_limit():
     assert dp_chromatic(g, 1) is None
     survey = survey_precoloring_extensions(g, (0, 1, 33), 1)
     assert survey.covers_checked == 1 and survey.all_extendable
+    assert survey.precolorings_checked == 0 and survey.failure_count == 0
+    assert survey.mode == "exhaustive"
 
 
 def test_dp_colorable_rechecks_counterexample(c4, monkeypatch):

@@ -346,6 +346,15 @@ def test_cycle_facts_match_oracles(corpus_n6):
             seen["bad"] += cc.is_bad
             seen["cycles"] += 1
     assert min(seen.values()) > 0 and seen["separating"] < seen["cycles"]
+    # the triangle 0-1-2 with the pendant path 0-3-4, whose face borders
+    # itself across both bridges: outside by default, inside under the hint
+    rot = [(1, 3, 2), (2, 0), (0, 1), (0, 4), (3,)]
+    path = frozenset({3, 4})
+    for hint, sides in ((None, (frozenset(), path)),
+                        ([0, 1, 2], (path, frozenset()))):
+        g = build_from_rotation(5, rot, hint)
+        assert cycle_sides_face_bfs(g, (0, 1, 2)) == sides
+        assert cycle_sides(g, (0, 1, 2)) == sides
 
 
 def test_checks_enumerate_cycles_once_past_the_tag(monkeypatch, hex_prism, w4):
