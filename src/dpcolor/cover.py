@@ -370,14 +370,16 @@ class _CoverSweep:
 
     def stream(self, mode: str, samples: int = 0, seed: int = 0
                ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Per-edge permutation tuples of the given mode."""
+        """Per-edge permutation tuples of the given mode.  ValueError
+        reports an unknown mode, or ``samples`` < 1, at the call."""
         k = self.k
         if mode == "sampled":
+            if samples < 1:
+                raise ValueError(f"samples must be at least 1, got {samples}")
             rng = random.Random(seed)
-            for _ in range(samples):
-                choose = random_chooser(rng.randrange(2 ** 32))
-                yield tuple(choose(u, v, k) for u, v in self.edges)
-            return
+            return (tuple(choose(u, v, k) for u, v in self.edges)
+                    for choose in (random_chooser(rng.randrange(2 ** 32))
+                                   for _ in range(samples)))
         if mode == "canonical":
             tuples = self.canonical_tuples()
         elif mode == "full":
@@ -385,10 +387,12 @@ class _CoverSweep:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         perms = [tuple(range(1, k + 1))] * len(self.edges)
-        for t in tuples:
+
+        def lift(t: tuple[tuple[int, ...], ...]) -> tuple:
             for i, p in zip(self.non_tree, t):
                 perms[i] = p
-            yield tuple(perms)
+            return tuple(perms)
+        return map(lift, tuples)
 
     def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
         """The cover of all of g with ``perms`` on ``edges`` and the
@@ -407,7 +411,7 @@ def _pairs_of(perm: tuple[int, ...]) -> PairList:
 
 
 def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
-    """Canonical covers: identity on a spanning tree, all else enumerated.
+    """Full covers: identity on a spanning tree, all else enumerated.
 
     Renaming colors vertex by vertex never changes whether a transversal
     exists, and any cover can be renamed so that a fixed spanning tree is

@@ -154,7 +154,7 @@ def _g1_r1(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
 
 def _g1_r2(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
     for f in an.bounded_faces(5, 5):
-        for fid in an.adjacency.neighbors(f.id):
+        for fid in an.face_neighbors[f.id]:
             if fid in an.internal_triangles:
                 amt = (Fraction(1, 3) if fid in an.all4_triangles
                        else Fraction(1, 6))
@@ -163,9 +163,9 @@ def _g1_r2(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
 
 def _g1_r3(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
     for f in an.bounded_faces(6):
-        for fid in an.adjacency.neighbors(f.id):
+        for fid in an.face_neighbors[f.id]:
             if fid in an.internal_triangles:
-                t = an.adjacency.shared_edges(f.id, fid)
+                t = an.shared_edges(f.id, fid)
                 rate = (Fraction(1, 2) if fid in an.badness.diamond_faces
                         else Fraction(1, 3))
                 yield Transfer("R3", ("f", f.id), ("f", fid), rate * t)
@@ -197,7 +197,7 @@ def _g2_r1(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
             for fid in fs:
                 yield Transfer("R1", ("v", v), ("f", fid), Fraction(1, 2))
         elif d == 5 and v in tags.bad5:
-            isolated = tags.isolated_triangles_at(v, an.adjacency)
+            isolated = tags.isolated_triangles_at(v, an)
             for fid in fs:
                 amt = Fraction(1, 4) if fid in isolated else Fraction(3, 8)
                 yield Transfer("R1", ("v", v), ("f", fid), amt)
@@ -211,7 +211,7 @@ def _g2_r2(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
     g = an.g
     for f in an.bounded_faces(5, 5):
         special = an.badness.special_faces.get(f.id, frozenset())
-        for fid in an.adjacency.neighbors(f.id):
+        for fid in an.face_neighbors[f.id]:
             if fid in an.internal_triangles and fid in an.all4_triangles:
                 yield Transfer("R2", ("f", f.id), ("f", fid), Fraction(1, 3))
             elif (fid != g.outer_face_id and g.face(fid).length in (3, 4)
@@ -223,7 +223,7 @@ def _g2_r3(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
     for f in an.bounded_faces(4, 6):
         if f.length == 5:
             continue
-        for fid in an.adjacency.neighbors(f.id):
+        for fid in an.face_neighbors[f.id]:
             if fid in an.triangle_ids:
                 yield Transfer("R3", ("f", f.id), ("f", fid), Fraction(1, 3))
 
@@ -232,11 +232,11 @@ def _g2_r4(an: _Analysis, charges: Charges) -> Iterator[Transfer]:
     g = an.g
     for f in an.bounded_faces(7):
         fv = f.vertex_set()
-        for fid in an.adjacency.neighbors(f.id):
+        for fid in an.face_neighbors[f.id]:
             ln = g.face(fid).length
             if fid == g.outer_face_id or ln not in (3, 4):
                 continue
-            t = an.adjacency.shared_edges(f.id, fid)
+            t = an.shared_edges(f.id, fid)
             if ln == 4:
                 rate = Fraction(3, 7)
             else:
@@ -405,8 +405,7 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     tri_edges = {e for f in an.triangles for e in f.edge_set()}
     s_prime = sum(1 for e in cross_edges if e not in tri_edges)
     f3 = len(an.outer_triangles)
-    rpatches = _components(an.adjacency.neighbor_sets,
-                           frozenset(an.outer_triangles))
+    rpatches = _components(an.face_neighbors, frozenset(an.outer_triangles))
     t1 = sum(1 for p in rpatches if len(p) == 1)
     t2 = sum(1 for p in rpatches if len(p) == 2)
     touching = set(an.outer_triangles)
@@ -482,7 +481,7 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
         share_viol, comp_viol = [], []
         if applicable:
             for f in an.bounded_faces(5):
-                kf = an.adjacency.shared_edges(f.id, outer_id)
+                kf = an.shared_edges(f.id, outer_id)
                 if kf == 0:
                     continue
                 sent = surplus.get(f.id, Fraction(0))

@@ -171,7 +171,7 @@ def _validate_rotations(vertex_count: int,
     if len(rotations) != vertex_count:
         raise InconsistentRotation(
             f"expected {vertex_count} rotation lists, got {len(rotations)}")
-    neighbor_sets = []
+    adj = []
     for u, rot in enumerate(rotations):
         for v in rot:
             if not 0 <= v < vertex_count:
@@ -181,13 +181,13 @@ def _validate_rotations(vertex_count: int,
         s = set(rot)
         if len(s) != len(rot):
             raise InconsistentRotation(f"repeated neighbor in rotation of {u}")
-        neighbor_sets.append(s)
+        adj.append(s)
     for u in range(vertex_count):
-        for v in neighbor_sets[u]:
-            if u not in neighbor_sets[v]:
+        for v in adj[u]:
+            if u not in adj[v]:
                 raise InconsistentRotation(
                     f"asymmetric adjacency: {v} lists {u} only one way")
-    return neighbor_sets
+    return adj
 
 
 def _trace_faces(vertex_count: int,

@@ -295,27 +295,6 @@ class _PermTables:
 # -- exhaustive cover sweeps -------------------------------------------------
 
 
-def _request(g: PlaneGraph, k: int, mode: str, samples: int, seed: int,
-             budget: int) -> tuple[_CoverSweep, Iterator, dict]:
-    """The sweep, its cover stream and the verdict's sampling fields.
-
-    Mode "exhaustive" reads the full stream, after checking its size
-    against ``budget``.
-    """
-    sweep = _CoverSweep(g, k)
-    if mode == "sampled":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        return (sweep, sweep.stream("sampled", samples, seed),
-                {"samples": samples, "seed": seed})
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    if sweep.total_covers > budget:
-        raise BudgetExceeded(
-            f"{sweep.total_covers} covers exceed budget {budget}")
-    return sweep, sweep.stream("full"), {}
-
-
 def _sweep_order(g: PlaneGraph, sweep: _CoverSweep) -> list[int]:
     """The sweep's vertices in smallest-last order over its edges."""
     return [v for v in _search_order(g.vertex_count, sweep.edges)
@@ -361,8 +340,11 @@ def dp_colorable(g: PlaneGraph, k: int, mode: str = "exhaustive", *,
                  for sweep in _core_sweeps(g, k, budget)]
         sampling: dict = {}
     else:
-        sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
-        parts = [(sweep, stream)]
+        sweep = _CoverSweep(g, k)
+        if mode != "sampled":
+            raise ValueError(f"unknown mode {mode!r}")
+        parts = [(sweep, sweep.stream("sampled", samples, seed))]
+        sampling = {"samples": samples, "seed": seed}
     checked = 0
     for sweep, stream in parts:
         order = _sweep_order(g, sweep)
@@ -669,8 +651,11 @@ def survey_precoloring_extensions(g: PlaneGraph, cycle: Sequence[int], k: int,
         return ExtensionSurvey("exhaustive", cyc, 1, 1, 0)
     if mode == "exhaustive" and k >= 1:
         return _residual_survey(g, cyc, k, budget)
-    sweep, stream, sampling = _request(g, k, mode, samples, seed, budget)
-    survey = ExtensionSurvey(mode, cyc, k, 0, 0, **sampling)
+    sweep = _CoverSweep(g, k)
+    if mode != "sampled":
+        raise ValueError(f"unknown mode {mode!r}")
+    stream = sweep.stream("sampled", samples, seed)
+    survey = ExtensionSurvey(mode, cyc, k, 0, 0, samples=samples, seed=seed)
     for perms, results in _extension_sweep(g, k, cyc, [(1 << k) - 1] * len(cyc),
                                            stream):
         survey.covers_checked += 1
@@ -769,8 +754,11 @@ def _extension_counts(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
     ``samples == 0`` sweeps the full stream, not the canonical one: a fixed
     precoloring breaks the common-renaming symmetry.
     """
-    _, stream, _ = _request(g, k, "sampled" if samples else "exhaustive",
-                            samples, seed, DEFAULT_COVER_BUDGET)
+    sweep = _CoverSweep(g, k)
+    if not samples and sweep.total_covers > DEFAULT_COVER_BUDGET:
+        raise BudgetExceeded(f"{sweep.total_covers} covers exceed budget "
+                             f"{DEFAULT_COVER_BUDGET}")
+    stream = sweep.stream("sampled" if samples else "full", samples, seed)
     checked = valid = failures = 0
     for _, results in _extension_sweep(g, k, [v for v, _ in pre.items],
                                        [1 << (c - 1) for _, c in pre.items],

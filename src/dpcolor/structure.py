@@ -115,12 +115,12 @@ class VertexFaceBadness:
     internal_faces: frozenset[int]
     special_faces: dict[int, frozenset[int]]  # 5-face id -> special 4-minus faces
 
-    def isolated_triangles_at(self, v: int, adjacency: "FaceAdjacency"
+    def isolated_triangles_at(self, v: int, an: "_Analysis"
                               ) -> tuple[int, ...]:
         """Incident 3-faces adjacent to none of v's other incident 3-faces."""
         fs = self.triangles_at_vertex[v]
         return tuple(f for f in fs
-                     if not any(adjacency.adjacent(f, other) for other in fs))
+                     if not any(an.adjacent(f, other) for other in fs))
 
 
 @dataclass(frozen=True)
@@ -139,33 +139,6 @@ class LemmaReport:
     witnesses: tuple = ()
 
 
-class FaceAdjacency:
-    """Edge-sharing relation between faces, with shared-edge counts."""
-
-    def __init__(self, g: PlaneGraph):
-        self._shared: list[dict[int, int]] = [{} for _ in g.faces]
-        for u, v in g.edges():
-            f1, f2 = g.faces_at_edge(u, v)
-            if f1 != f2:
-                self._shared[f1][f2] = self._shared[f1].get(f2, 0) + 1
-                self._shared[f2][f1] = self._shared[f2].get(f1, 0) + 1
-        self._neighbors = [tuple(sorted(s)) for s in self._shared]
-
-    def adjacent(self, f1: int, f2: int) -> bool:
-        return f2 in self._shared[f1]
-
-    def shared_edges(self, f1: int, f2: int) -> int:
-        return self._shared[f1].get(f2, 0)
-
-    def neighbors(self, f: int) -> tuple[int, ...]:
-        return self._neighbors[f]
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Per face, the faces it shares an edge with."""
-        return tuple(map(frozenset, self._shared))
-
-
 class _Analysis:
     """The derived structural facts of one graph, each computed at most once.
 
@@ -177,20 +150,38 @@ class _Analysis:
 
     def __init__(self, g: PlaneGraph):
         self.g = g
-        self._reach = 2
+        self._cycles_up_to = 2
         self._cycles: list[Cycle] = []
 
     def cycles(self, max_len: int) -> list[Cycle]:
         """Cycles of length at most ``max_len``, grouped by length as
         enumerate_cycles sorts them; enumerated again only to reach further."""
-        if max_len > self._reach:
+        if max_len > self._cycles_up_to:
             self._cycles = enumerate_cycles(self.g, max_len)
-            self._reach = max_len
+            self._cycles_up_to = max_len
         return [c for c in self._cycles if c.length <= max_len]
 
     @cached_property
-    def adjacency(self) -> FaceAdjacency:
-        return FaceAdjacency(self.g)
+    def _shared(self) -> list[dict[int, int]]:
+        """Per face: each face it shares an edge with, and how many edges."""
+        shared: list[dict[int, int]] = [{} for _ in self.g.faces]
+        for u, v in self.g.edges():
+            f1, f2 = self.g.faces_at_edge(u, v)
+            if f1 != f2:
+                shared[f1][f2] = shared[f1].get(f2, 0) + 1
+                shared[f2][f1] = shared[f2].get(f1, 0) + 1
+        return shared
+
+    @cached_property
+    def face_neighbors(self) -> list[tuple[int, ...]]:
+        """Per face, the faces it shares an edge with, in id order."""
+        return [tuple(sorted(s)) for s in self._shared]
+
+    def adjacent(self, f1: int, f2: int) -> bool:
+        return f2 in self._shared[f1]
+
+    def shared_edges(self, f1: int, f2: int) -> int:
+        return self._shared[f1].get(f2, 0)
 
     @cached_property
     def internal_vertices(self) -> frozenset[int]:
@@ -262,7 +253,7 @@ class _Analysis:
     @cached_property
     def patches(self) -> list[TrianglePatch]:
         patches = []
-        for members in map(sorted, _components(self.adjacency.neighbor_sets,
+        for members in map(sorted, _components(self.face_neighbors,
                                                self.triangle_ids)):
             edge_count: dict[tuple[int, int], int] = {}
             verts: set[int] = set()
@@ -282,7 +273,7 @@ class _Analysis:
 
     @cached_property
     def badness(self) -> VertexFaceBadness:
-        g, adjacency = self.g, self.adjacency
+        g = self.g
         at_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
         for f in self.triangles:
             for v in f.vertex_set():
@@ -291,18 +282,18 @@ class _Analysis:
         for v in range(g.vertex_count):
             fs = at_vertex[v]
             if g.degree(v) == 4:
-                if len(fs) == 2 and adjacency.adjacent(fs[0], fs[1]):
+                if len(fs) == 2 and self.adjacent(fs[0], fs[1]):
                     bad4.add(v)
             elif g.degree(v) == 5:
                 pairs = sum(1 for a, b in itertools.combinations(fs, 2)
-                            if adjacency.adjacent(a, b))
+                            if self.adjacent(a, b))
                 if len(fs) == 3 and pairs == 1:
                     bad5.add(v)
                 else:
                     good5.add(v)
         diamonds = set()
         for f in self.triangles:
-            for other in adjacency.neighbors(f.id):
+            for other in self.face_neighbors[f.id]:
                 if other not in self.triangle_ids:
                     continue
                 shared = f.vertex_set() & g.face(other).vertex_set()
@@ -314,7 +305,7 @@ class _Analysis:
         for f in self.bounded_faces(5, 5):
             fv = f.vertex_set()
             found = set()
-            for other in adjacency.neighbors(f.id):
+            for other in self.face_neighbors[f.id]:
                 if other == g.outer_face_id:
                     continue
                 of = g.face(other)
@@ -327,7 +318,7 @@ class _Analysis:
                     if (len(shared_internal) == 2
                             and len(of.vertex_set() & outer) == 2
                             and all(g.face(x).length != 3
-                                    for x in adjacency.neighbors(other)
+                                    for x in self.face_neighbors[other]
                                     if x != g.outer_face_id)):
                         found.add(other)
             special[f.id] = frozenset(found)
@@ -435,9 +426,12 @@ def cycle_sides(g: PlaneGraph, cycle: Cycle | Sequence[int]
     """
     cyc = _cycle_of(g, cycle)
     cyc_edges = cyc.edge_set()
-    across = [[g.face_of_directed_edge(v, u)
-               for u, v in zip(f.boundary, f.boundary[1:] + f.boundary[:1])
-               if _norm_edge(u, v) not in cyc_edges] for f in g.faces]
+    across: list[list[int]] = [[] for _ in g.faces]
+    for u, v in g.edges():
+        if (u, v) not in cyc_edges:
+            f1, f2 = g.faces_at_edge(u, v)
+            across[f1].append(f2)
+            across[f2].append(f1)
     outside = _reach(across, g.outer_face_id, frozenset(range(len(across))))
     outer = cyc.vertex_set().union(*(g.face(f).boundary for f in outside))
     return frozenset(range(g.vertex_count)) - outer, outer - cyc.vertex_set()
@@ -502,7 +496,6 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     """
     an = _Analysis(g)
     tag = an.tag
-    adjacency = an.adjacency
     reports: list[LemmaReport] = []
 
     def report(check_id: str, kind: str, witnesses: Sequence) -> None:
@@ -513,7 +506,7 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
         an.cycles(8 if tag.in_g2 else 7)  # one enumeration for both classes
 
     def lengths_at(fid: int) -> list[tuple[int, int]]:
-        return [(n, g.face(n).length) for n in adjacency.neighbors(fid)]
+        return [(n, g.face(n).length) for n in an.face_neighbors[fid]]
 
     if tag.in_g1:
         w = tuple((f.id, n) for f in g.faces if f.length == 3
@@ -523,7 +516,7 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
         report("g1-no-triangle-patch-3plus", "theorem", big)
         w2 = []
         for a in sorted(an.triangle_ids):
-            for b in adjacency.neighbors(a):
+            for b in an.face_neighbors[a]:
                 if b in an.triangle_ids:
                     w2 += [(a, b, n) for n, ln in lengths_at(a)
                            if n != b and ln < 6]
@@ -568,8 +561,8 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
     if tag.in_g2:
         int444 = an.internal_triangles & an.all4_triangles
         w10 = tuple((a, b) for a in sorted(int444)
-                    for b in adjacency.neighbors(a)
-                    if b > a and b in int444 and adjacency.shared_edges(a, b) == 1)
+                    for b in an.face_neighbors[a]
+                    if b > a and b in int444 and an.shared_edges(a, b) == 1)
         report("no-edge-sharing-internal-444-pair", "precondition", w10)
     return reports
 

@@ -107,6 +107,8 @@ def test_extend_rejects_vacuous_input(c4_file, capsys):
     assert main(["extend", c4_file, "--cycle", "0,0,1", "--colors", "1,2,1",
                  "--k", "4"]) == 2
     assert "repeats" in capsys.readouterr().err
+    assert main(base + ["--colors", "1,2", "--samples", "-3"]) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
 
 
 def test_extend_exhaustive_budget(k4_file, capsys):

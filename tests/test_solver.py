@@ -176,6 +176,15 @@ def test_sampled_sweeps_reject_empty_samples(c4, samples):
                                       samples=samples)
 
 
+@pytest.mark.parametrize("mode", ["canonical", "full", "bogus"])
+def test_sweeps_reject_unknown_modes(c4, mode):
+    # the cover stream's own modes are not sweep modes
+    with pytest.raises(ValueError, match="unknown mode"):
+        dp_colorable(c4, 2, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        survey_precoloring_extensions(c4, (0, 1, 2), 2, mode)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_sweeps_reject_k_below_one(c4, k, mode):

@@ -11,7 +11,8 @@ from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
                      audit, build_from_rotation, class_membership,
                      classify_cycle, classify_vertices_and_faces, cycle_sides,
                      embed_planar, enumerate_cycles, find_triangle_patches,
-                     identify_and_reduce, structure, verify_structural_lemmas)
+                     identify_and_reduce, plane_graph, structure,
+                     verify_structural_lemmas)
 from conftest import holed_grid, make_cycle, triangulated_grid
 from oracles import (bad_witnesses_scan, class_membership_pairwise,
                      cycle_sides_face_bfs)
@@ -355,6 +356,36 @@ def test_cycle_facts_match_oracles(corpus_n6):
         g = build_from_rotation(5, rot, hint)
         assert cycle_sides_face_bfs(g, (0, 1, 2)) == sides
         assert cycle_sides(g, (0, 1, 2)) == sides
+    # a hexagon with the chord 0-3 drawn outside and vertex 6 between the
+    # chord and the arc 1-2: with the outer face on 0, 3, 4, 5 it touches
+    # only cycle vertices, and 6 is reached across the chord alone
+    rot = [(3, 1, 5), (0, 6, 2), (3, 1, 6), (4, 2, 0), (5, 3), (4, 0), (2, 1)]
+    hexagon = (0, 1, 2, 3, 4, 5)
+    for hint, sides in (([0, 3, 4, 5], (frozenset(), frozenset({6}))),
+                        (None, (frozenset({6}), frozenset()))):
+        g = build_from_rotation(7, rot, hint)
+        assert cycle_sides_face_bfs(g, hexagon) == sides
+        assert cycle_sides(g, hexagon) == sides
+
+
+def test_face_adjacency_matches_shared_edge_sets(corpus_n6, corpus_g1_n9,
+                                                 corpus_g2_n9):
+    # the analysis counts shared edges in one pass over the edges; the
+    # oracle intersects the two boundaries' edge sets
+    pairs = 0
+    for g in (corpus_n6 + corpus_g1_n9 + corpus_g2_n9
+              + [triangulated_grid(5), holed_grid()]):
+        an = structure._Analysis(g)
+        for f in g.faces:
+            counts = {h.id: plane_graph.face_shared_edges(g, f, h)
+                      for h in g.faces if h.id != f.id}
+            for h, n in counts.items():
+                assert an.shared_edges(f.id, h) == n
+                assert an.adjacent(f.id, h) == (n > 0)
+            pairs += len(counts)
+            assert an.face_neighbors[f.id] == tuple(
+                sorted(h for h, n in counts.items() if n > 0))
+    assert pairs > 0
 
 
 def test_checks_enumerate_cycles_once_past_the_tag(monkeypatch, hex_prism, w4):
