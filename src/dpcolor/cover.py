@@ -40,15 +40,28 @@ PairList = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class Cover:
-    """Lists and matchings for one graph.
+    """Lists and matchings for one graph; a cover is its own cover graph.
 
     ``lists[v]`` is the ordered color list of vertex v.  ``matchings`` maps
     each edge, keyed as (u, v) with u < v, to matched pairs (cu, cv); an
-    absent key means the empty matching.
+    absent key means the empty matching.  The cover graph's nodes are the
+    pairs (v, c) with c in ``lists[v]``; ``graph_edges`` are the keyed edges.
     """
 
     lists: tuple[tuple[int, ...], ...]
     matchings: Mapping[tuple[int, int], PairList]
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        return self.lists
+
+    @property
+    def graph_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.matchings))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.lists)
 
     def matching(self, u: int, v: int) -> PairList:
         """Pairs for edge uv, oriented (color-of-u, color-of-v)."""
@@ -65,6 +78,29 @@ class Cover:
 
     def is_straight(self, u: int, v: int) -> bool:
         return all(a == b for a, b in self.matching(u, v))
+
+    def color_vertices(self) -> list[tuple[int, int]]:
+        return [(v, c) for v, colors in enumerate(self.lists) for c in colors]
+
+    def has_edge(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
+        (u, cu), (v, cv) = x, y
+        if u == v:
+            return cu != cv and cu in self.lists[u] and cv in self.lists[u]
+        return self.matched_color(u, cu, v) == cv
+
+    def edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """All edges of the cover graph (clique edges plus matching edges)."""
+        out = []
+        for v, colors in enumerate(self.lists):
+            for c1, c2 in itertools.combinations(colors, 2):
+                out.append(((v, c1), (v, c2)))
+        for (u, v), pairs in sorted(self.matchings.items()):
+            for cu, cv in pairs:
+                out.append(((u, cu), (v, cv)))
+        return out
+
+
+CoverGraph = Cover
 
 
 @dataclass(frozen=True)
@@ -85,49 +121,6 @@ class StraightnessCertificate:
     def verify(self, cover: Cover) -> bool:
         """True when every certified edge is straight in ``cover``."""
         return all(cover.is_straight(u, v) for u, v in self.straight_edges)
-
-
-class CoverGraph:
-    """The graph on (vertex, color) nodes induced by a cover.
-
-    Nodes are pairs (v, c) with c in the list of v; every list induces a
-    clique and every matched pair is a cross edge.
-    """
-
-    __slots__ = ("groups", "matchings", "graph_edges")
-
-    def __init__(self, groups: tuple[tuple[int, ...], ...],
-                 cross: Mapping[tuple[int, int], PairList]):
-        self.groups = groups
-        self.matchings = dict(cross)
-        self.graph_edges = tuple(sorted(self.matchings))
-
-    matching = Cover.matching
-    matched_color = Cover.matched_color
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.groups)
-
-    def color_vertices(self) -> list[tuple[int, int]]:
-        return [(v, c) for v, colors in enumerate(self.groups) for c in colors]
-
-    def has_edge(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
-        (u, cu), (v, cv) = x, y
-        if u == v:
-            return cu != cv and cu in self.groups[u] and cv in self.groups[u]
-        return self.matched_color(u, cu, v) == cv
-
-    def edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """All edges of the cover graph (clique edges plus matching edges)."""
-        out = []
-        for v, colors in enumerate(self.groups):
-            for c1, c2 in itertools.combinations(colors, 2):
-                out.append(((v, c1), (v, c2)))
-        for (u, v), pairs in sorted(self.matchings.items()):
-            for cu, cv in pairs:
-                out.append(((u, cu), (v, cv)))
-        return out
 
 
 # -- construction -----------------------------------------------------------
@@ -170,12 +163,9 @@ def make_cover(g: PlaneGraph, lists: Sequence[Sequence[int]],
 
 def diagonal_cover(g: PlaneGraph, lists: Sequence[Sequence[int]]) -> Cover:
     """The cover whose matchings pair equal colors: plain list coloring."""
-    ls = tuple(tuple(l) for l in lists)
-    matchings: dict[tuple[int, int], PairList] = {}
-    for u, v in g.edges():
-        shared = sorted(set(ls[u]) & set(ls[v]))
-        matchings[(u, v)] = tuple((c, c) for c in shared)
-    return Cover(ls, matchings)
+    ls = make_cover(g, lists, {}).lists
+    return make_cover(g, ls, {(u, v): [(c, c) for c in set(ls[u]) & set(ls[v])]
+                              for u, v in g.edges()})
 
 
 PermutationChooser = Callable[[int, int, int], Sequence[int]]
@@ -397,11 +387,8 @@ class _CoverSweep:
     def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
         """The cover of all of g with ``perms`` on ``edges`` and the
         identity on every other edge."""
-        colors = tuple(range(1, self.k + 1))
-        table = dict(zip(self.edges, perms))
-        return Cover((colors,) * self.g.vertex_count,
-                     {e: _pairs_of(table.get(e, colors))
-                      for e in self.g.edges()})
+        return full_cover(self.g, self.k,
+                          table_chooser(dict(zip(self.edges, perms))))
 
 
 @functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
@@ -426,12 +413,11 @@ def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
     return map(sweep.cover_from, sweep.stream("full"))
 
 
-def cover_graph(g: PlaneGraph, cover: Cover) -> CoverGraph:
-    """Materialize the cover graph of ``cover`` over ``g``."""
+def cover_graph(g: PlaneGraph, cover: Cover) -> Cover:
+    """``cover`` with every edge of ``g`` keyed, unmatched ones empty."""
     if len(cover.lists) != g.vertex_count:
         raise CoverError("cover does not fit graph")
-    cross = {e: cover.matchings.get(e, ()) for e in g.edges()}
-    return CoverGraph(cover.lists, cross)
+    return Cover(cover.lists, {e: cover.matchings.get(e, ()) for e in g.edges()})
 
 
 def straighten(g: PlaneGraph, cover: Cover,

@@ -141,10 +141,6 @@ class PlaneGraph:
     def edge_count(self) -> int:
         return sum(len(r) for r in self.rotations) // 2
 
-    def face_of_directed_edge(self, u: int, v: int) -> int:
-        """Id of the unique face whose trace uses the directed edge (u, v)."""
-        return self._edge_face[(u, v)]
-
     def faces_at_edge(self, u: int, v: int) -> tuple[int, int]:
         """The (at most two distinct) face ids on either side of edge uv."""
         return (self._edge_face[(u, v)], self._edge_face[(v, u)])

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cover import (Cover, CoverGraph, _CoverSweep, cover_graph, full_cover,
-                    table_chooser)
+from .cover import Cover, _CoverSweep, full_cover, table_chooser
 from .plane_graph import PlaneGraph, _components, _reach
 
 DEFAULT_COVER_BUDGET = 10_000_000
@@ -189,14 +188,13 @@ def _search_order(n: int, edges: Iterable[tuple[int, int]],
     return list(first) + [v for v in _degeneracy_order(n, adj) if v in rest]
 
 
-def _cover_search(lists: Sequence[Sequence[int]], matching_of,
-                  edges: Sequence[tuple[int, int]],
+def _cover_search(cover: Cover, edges: Sequence[tuple[int, int]],
                   fixed: Mapping[int, int]) -> Optional[Transversal]:
     """First transversal extending ``fixed``; fixed vertices come first."""
-    n = len(lists)
+    n = len(cover.lists)
     order = _search_order(n, edges, sorted(fixed))
     pos = {v: i for i, v in enumerate(order)}
-    colors = [sorted(lists[v]) for v in order]
+    colors = [sorted(cover.lists[v]) for v in order]
     index_of = [{c: i for i, c in enumerate(cs)} for cs in colors]
     domains = [1 << index_of[i][fixed[v]] if v in fixed
                else (1 << len(colors[i])) - 1 for i, v in enumerate(order)]
@@ -206,7 +204,7 @@ def _cover_search(lists: Sequence[Sequence[int]], matching_of,
             u, v = v, u
         a, b = pos[u], pos[v]
         table = [0] * len(colors[a])
-        for cu, cv in matching_of(u, v):
+        for cu, cv in cover.matching(u, v):
             if cu in index_of[a] and cv in index_of[b]:
                 table[index_of[a][cu]] = 1 << index_of[b][cv]
         constraints[b].append((a, table))
@@ -219,7 +217,7 @@ def _cover_search(lists: Sequence[Sequence[int]], matching_of,
     return Transversal(tuple(out))
 
 
-def find_transversal(h: CoverGraph) -> Optional[Transversal]:
+def find_transversal(h: Cover) -> Optional[Transversal]:
     """A transversal of the cover graph, or None when none exists.
 
     Deterministic: an iterative backtracking search tries vertices in
@@ -227,9 +225,9 @@ def find_transversal(h: CoverGraph) -> Optional[Transversal]:
     first transversal it meets.  Depth is not bounded by the recursion
     limit.
     """
-    if any(len(cs) == 0 for cs in h.groups):
+    if any(len(cs) == 0 for cs in h.lists):
         return None
-    return _cover_search(h.groups, h.matching, h.graph_edges, {})
+    return _cover_search(h, h.graph_edges, {})
 
 
 def extend_precoloring(g: PlaneGraph, cover: Cover,
@@ -241,9 +239,13 @@ def extend_precoloring(g: PlaneGraph, cover: Cover,
     vertices in smallest-last order; a color of an uncolored vertex is
     pruned exactly when it is matched to a chosen neighbor color.  Raises
     InconsistentPrecoloring when the given partial assignment already
-    conflicts (wrong list, or a matched pair chosen on an edge).
+    conflicts (wrong list, or a matched pair chosen on an edge), and
+    ValueError a precolored vertex outside 0..n-1.
     """
     fixed = pre.as_dict()
+    if not all(0 <= v < g.vertex_count for v in fixed):
+        raise ValueError(
+            f"precolored vertices must lie in 0..{g.vertex_count - 1}")
     for v, c in fixed.items():
         if c not in cover.lists[v]:
             raise InconsistentPrecoloring(f"color {c} not in list of {v}")
@@ -252,7 +254,7 @@ def extend_precoloring(g: PlaneGraph, cover: Cover,
             if cover.matched_color(u, fixed[u], v) == fixed[v]:
                 raise InconsistentPrecoloring(
                     f"edge ({u},{v}): precolored pair is matched")
-    return _cover_search(cover.lists, cover.matching, g.edges(), fixed)
+    return _cover_search(cover, g.edges(), fixed)
 
 
 @functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
@@ -355,7 +357,7 @@ def dp_colorable(g: PlaneGraph, k: int, mode: str = "exhaustive", *,
             tables.load(perms)
             if next(_search(domains, tables.constraints), None) is None:
                 bad = sweep.cover_from(perms)
-                if find_transversal(cover_graph(g, bad)) is not None:
+                if find_transversal(bad) is not None:
                     raise SolverError("sweep counterexample has a transversal")
                 return ColorabilityVerdict(mode, False, bad, checked,
                                            **sampling)

@@ -9,6 +9,7 @@ import pytest
 
 import networkx as nx
 
+import dpcolor
 from dpcolor import (BadPermutation, CoverError, NonPerfectTreeMatching,
                      NotAForest, bfs_tree_edges, build_from_rotation,
                      cover_graph, diagonal_cover, enumerate_covers,
@@ -37,6 +38,17 @@ def test_diagonal_k3_matches_list_coloring():
     adj = [g.neighbors(v) for v in range(3)]
     assert has_transversal_brute(cov.lists, cov.matchings) \
         == list_colorable(adj, cov.lists) is True
+
+
+def test_diagonal_cover_validates_lists(c4):
+    # a repeated color, too few lists and too many lists: make_cover's errors
+    for lists in ([(1, 1), (1, 2), (1, 2), (1, 2)], [(1, 2)] * 3,
+                  [(1, 2)] * 5):
+        with pytest.raises(CoverError) as expected:
+            make_cover(c4, lists, {})
+        with pytest.raises(CoverError) as got:
+            diagonal_cover(c4, lists)
+        assert str(got.value) == str(expected.value)
 
 
 def test_full_cover_identity_is_diagonal(c4):
@@ -113,6 +125,16 @@ def test_cover_graph_shapes(k1):
     assert clique == 3 * 6 and cross == 3 * 4
     single = cover_graph(k1, diagonal_cover(k1, [(1, 2, 3, 4)]))
     assert len(single.edges()) == 6
+    assert dpcolor.CoverGraph is dpcolor.Cover
+    # the cover graph keys every edge of the graph, unmatched ones empty
+    g = make_cycle(5)
+    partial = {(0, 1): [(1, 2)], (3, 4): [(2, 2), (1, 1)]}
+    cov = make_cover(g, [(1, 2)] * 5, partial)
+    h = cover_graph(g, cov)
+    assert h.graph_edges == g.edges()
+    for e in g.edges():
+        assert h.matchings[e] == (cov.matchings[e] if e in partial else ())
+    assert cover_graph(g, cov) == h
 
 
 def test_cover_graph_matching_bound(corpus_n6):

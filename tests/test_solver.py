@@ -98,6 +98,10 @@ def test_extend_inconsistent_raises(c4):
         extend_precoloring(c4, cov, Precoloring.of({0: 1, 1: 1}))
     with pytest.raises(InconsistentPrecoloring):
         extend_precoloring(c4, cov, Precoloring.of({0: 9}))
+    # vertices outside the graph are an input error, not a conflict
+    for pre in ({-1: 2}, {7: 1}, {0: 1, 4: 2}):
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
+            extend_precoloring(c4, cov, Precoloring.of(pre))
 
 
 def test_dp_colorable_c4(c4):
