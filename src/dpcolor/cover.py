@@ -205,10 +205,13 @@ def table_chooser(table: Mapping[tuple[int, int], Sequence[int]]
     return choose
 
 
-def _perm_pairs(perm: Sequence[int], k: int) -> PairList:
+@functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
+def _perm_pairs(perm: tuple[int, ...], k: int) -> PairList:
+    """Matched pairs of a permutation of 1..k, checked once and shared, as
+    sweeps keep many covers."""
     if sorted(perm) != list(range(1, k + 1)):
-        raise BadPermutation(f"{tuple(perm)} is not a bijection on 1..{k}")
-    return _pairs_of(tuple(perm))
+        raise BadPermutation(f"{perm} is not a bijection on 1..{k}")
+    return tuple(zip(range(1, k + 1), perm))
 
 
 def full_cover(g: PlaneGraph, k: int,
@@ -223,7 +226,7 @@ def full_cover(g: PlaneGraph, k: int,
     lists = tuple(tuple(range(1, k + 1)) for _ in range(g.vertex_count))
     matchings: dict[tuple[int, int], PairList] = {}
     for u, v in g.edges():
-        matchings[(u, v)] = _perm_pairs(chooser(u, v, k), k)
+        matchings[(u, v)] = _perm_pairs(tuple(chooser(u, v, k)), k)
     return Cover(lists, matchings)
 
 
@@ -389,12 +392,6 @@ class _CoverSweep:
         identity on every other edge."""
         return full_cover(self.g, self.k,
                           table_chooser(dict(zip(self.edges, perms))))
-
-
-@functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
-def _pairs_of(perm: tuple[int, ...]) -> PairList:
-    """Matched pairs of a permutation; shared, as sweeps keep many covers."""
-    return tuple(zip(range(1, len(perm) + 1), perm))
 
 
 def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:
