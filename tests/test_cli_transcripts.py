@@ -51,6 +51,8 @@ CASES = {
     "list-chromatic-wheel": ["list-chromatic", "wheel5.pc", "--max", "4"],
     "list-chromatic-octahedron": ["list-chromatic", "octahedron.g6",
                                   "--max", "2"],
+    "list-chromatic-octahedron-max4": ["list-chromatic", "octahedron.g6",
+                                       "--max", "4"],
     "extend-wheel-rim": ["extend", "wheel5.pc", "--cycle", "1,2,3,4,5",
                          "--colors", "1,2,1,2,3", "--k", "3"],
     "extend-prism-triangle": ["extend", "prism.rot", "--cycle", "0,1,2",
