@@ -94,7 +94,7 @@ class PlaneGraph:
     """
 
     __slots__ = ("vertex_count", "rotations", "_faces", "outer_face_id",
-                 "_edge_face", "_adj")
+                 "_edge_face", "_adj", "_edges")
 
     def __init__(self, vertex_count: int, rotations: tuple[tuple[int, ...], ...],
                  faces: tuple[Face, ...], outer_face_id: int,
@@ -105,6 +105,7 @@ class PlaneGraph:
         self.outer_face_id = outer_face_id
         self._edge_face = edge_face
         self._adj = tuple(frozenset(r) for r in rotations)
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -130,12 +131,12 @@ class PlaneGraph:
         return v in self._adj[u]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for u, rot in enumerate(self.rotations):
-            for v in rot:
-                if u < v:
-                    out.append((u, v))
-        return tuple(sorted(out))
+        """Every edge (u, v), u < v, in sorted order; built on first call."""
+        if self._edges is None:
+            self._edges = tuple(sorted(
+                (u, v) for u, rot in enumerate(self.rotations)
+                for v in rot if u < v))
+        return self._edges
 
     @property
     def edge_count(self) -> int:

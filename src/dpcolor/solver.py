@@ -17,7 +17,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from .cover import Cover, _CoverSweep, full_cover, table_chooser
 from .plane_graph import PlaneGraph, _components, _reach
@@ -382,19 +383,112 @@ def dp_chromatic(g: PlaneGraph, k_max: int, *,
 # -- ordinary and list chromatic numbers -------------------------------------
 
 
+def _coloring_test(n: int, edges: Sequence[tuple[int, int]],
+                   counter: list[int]) -> Callable[[int], bool]:
+    """Whether the graph on range(n) with ``edges`` has a proper k-coloring,
+    as a function of k; the tables are built once for every k."""
+    tables = _PermTables(_search_order(n, edges), edges)
+
+    def colorable(k: int) -> bool:
+        tables.load([tuple(range(1, k + 1))] * len(edges))  # the diagonal cover
+        # colors are interchangeable, so the first vertex takes color 0
+        domains = [1] + [(1 << k) - 1] * (n - 1)
+        return next(_search(domains, tables.constraints, counter),
+                    None) is not None
+    return colorable
+
+
 def chromatic(g: PlaneGraph, k_max: int, *,
               budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
     """Smallest k <= k_max admitting a proper k-coloring, else None."""
-    edges = g.edges()
-    tables = _PermTables(_search_order(g.vertex_count, edges), edges)
-    counter = [budget]
-    for k in range(1, k_max + 1):
-        tables.load([tuple(range(1, k + 1))] * len(edges))  # the diagonal cover
-        # colors are interchangeable, so the first vertex takes color 0
-        domains = [1] + [(1 << k) - 1] * (g.vertex_count - 1)
-        if next(_search(domains, tables.constraints, counter), None) is not None:
-            return k
-    return None
+    colorable = _coloring_test(g.vertex_count, g.edges(), [budget])
+    return next((k for k in range(1, k_max + 1) if colorable(k)), None)
+
+
+def _ert_two_choosable(adj: Sequence[frozenset[int]],
+                       comp: frozenset[int]) -> bool:
+    """Erdős–Rubin–Taylor: a component of the 2-core is 2-choosable if and
+    only if it is an even cycle or a theta graph θ(2, 2, 2m).
+
+    Every degree in the component is at least 2, so m = n means a cycle,
+    and m = n + 1 with two degree-3 hubs means every other degree is 2: a
+    theta graph, or two cycles joined by a path.  The three walks from one
+    hub tell them apart, since on the latter a walk comes back to its start.
+    """
+    degree = {v: len(adj[v] & comp) for v in comp}
+    excess = sum(degree.values()) // 2 - len(comp)
+    if excess == 0:
+        return len(comp) % 2 == 0
+    hubs = sorted(v for v, d in degree.items() if d == 3)
+    if excess != 1 or len(hubs) != 2:
+        return False
+    lengths = []
+    for w in sorted(adj[hubs[0]] & comp):
+        prev, cur, length = hubs[0], w, 1
+        while degree[cur] == 2:
+            prev, cur = cur, min((adj[cur] & comp) - {prev})
+            length += 1
+        if cur == hubs[0]:
+            return False
+        lengths.append(length)
+    lengths.sort()
+    return lengths[:2] == [2, 2] and lengths[2] % 2 == 0
+
+
+def _alon_tarsi(adj: Sequence[frozenset[int]], comp: frozenset[int], k: int,
+                counter: list[int]) -> bool:
+    """Alon–Tarsi: True when the graph polynomial of ``comp``, the product
+    of (x_u - x_v) over its edges, has a nonzero coefficient on a monomial
+    with every exponent at most k - 1, which makes ``comp`` k-choosable.
+
+    The product is expanded edge by edge, ordered by the later endpoint in
+    BFS order, and a term whose exponent would pass k - 1 is dropped; that
+    is exact, since exponents only grow.  A monomial is an int with one
+    bit field per vertex.  ``counter`` loses one per monomial per edge.
+    """
+    order = _reach(adj, min(comp), comp)
+    if sum(len(adj[v] & comp) for v in order) > 2 * (k - 1) * len(order):
+        return False  # the product has degree |E|, above every kept monomial
+    pos = {v: i for i, v in enumerate(order)}
+    top = k - 1
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    poly = {0: 1}
+    for i, v in enumerate(order):
+        si = i * width
+        for j in sorted(pos[u] for u in adj[v] if u in pos and pos[u] < i):
+            counter[0] -= len(poly)
+            if counter[0] < 0:
+                raise BudgetExceeded("Alon-Tarsi expansion budget exhausted")
+            sj = j * width
+            out: dict[int, int] = {}
+            for mono, c in poly.items():
+                if mono >> sj & mask < top:
+                    t = mono + (1 << sj)
+                    out[t] = out.get(t, 0) + c
+                if mono >> si & mask < top:
+                    t = mono + (1 << si)
+                    out[t] = out.get(t, 0) - c
+            poly = {mono: c for mono, c in out.items() if c}
+            if not poly:
+                return False
+    return True
+
+
+def _component_choosable(adj: Sequence[frozenset[int]], comp: frozenset[int],
+                         k: int, counter: list[int]) -> bool:
+    """Whether one component of the k-core is k-choosable: Erdős–Rubin–Taylor
+    at k = 2, else Alon–Tarsi, else no proper k-coloring, else the search."""
+    if k == 2:
+        return _ert_two_choosable(adj, comp)
+    if _alon_tarsi(adj, comp, k, counter):
+        return True
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    edges = [(index[u], index[v]) for u in sorted(comp)
+             for v in sorted(adj[u] & comp) if u < v]
+    if not _coloring_test(len(comp), edges, counter)(k):
+        return False  # ch >= chi
+    return _Choosability(adj, k, counter).choosable(comp)
 
 
 class _Choosability:
@@ -516,15 +610,32 @@ def list_chromatic(g: PlaneGraph, k_max: int, *,
                    budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
     """Smallest k <= k_max such that every size-k list assignment is colorable.
 
-    Exact: enumeration up to color renaming is exhaustive over arbitrary
-    pools (fresh colors are introduced at most k per vertex, so a pool of
-    k*|V| colors already contains a representative of every assignment).
+    Each k is decided exactly, and certificates come before any search:
+
+    1. Peel to the k-core (vertices of degree < k can be colored last);
+       an empty core answers k.  Each core component is then decided alone.
+    2. At k = 2, Erdős–Rubin–Taylor ("Choosability in graphs", 1979): a
+       component is 2-choosable if and only if it is an even cycle or a
+       theta graph θ(2, 2, 2m).  This is exact both ways.
+    3. At k >= 3, Alon–Tarsi ("Colorings and orientations of graphs",
+       Combinatorica 1992): a nonzero coefficient of the graph polynomial
+       on a monomial with every exponent below k certifies k-choosability.
+    4. A component with no proper k-coloring refutes k, since ch >= chi.
+    5. Otherwise the canonical list-assignment search of
+       :class:`_Choosability` decides; enumeration up to color renaming is
+       exhaustive over arbitrary pools (fresh colors are introduced at most
+       k per vertex, so a pool of k*|V| colors already contains a
+       representative of every assignment).
+
+    ``budget`` counts search nodes (of steps 4 and 5) and Alon–Tarsi
+    monomial steps together; BudgetExceeded is raised when it runs out.
     """
     counter = [budget]
-    full = frozenset(range(g.vertex_count))
     # a graph with an edge is not 1-choosable
     for k in range(2 if g.edge_count else 1, k_max + 1):
-        if _Choosability(g._adj, k, counter).choosable(full):
+        core = _peel(g._adj, range(g.vertex_count), k)[1]
+        if all(_component_choosable(g._adj, comp, k, counter)
+               for comp in _components(g._adj, core)):
             return k
     return None
 

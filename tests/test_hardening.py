@@ -280,7 +280,9 @@ def test_swap_cover_verdict_agrees_with_bruteforce(c6):
 
 def test_choosability_theta_graphs():
     # two hubs joined by three paths: lengths (2,2,even) are 2-choosable,
-    # everything else needs 3
+    # everything else needs 3; the other shapes probe the Erdős–Rubin–Taylor
+    # test on 2-cores with m = n + 1 that are not theta graphs, and on a
+    # 2-core that is an even cycle
     def theta(*lengths):
         edges = []
         nxt = 2
@@ -298,6 +300,20 @@ def test_choosability_theta_graphs():
     assert list_chromatic(theta(2, 2, 3), 4) == 3
     assert list_chromatic(theta(3, 3, 3), 4) == 3
     assert list_chromatic(theta(2, 3, 4), 4) == 3
+    assert list_chromatic(theta(1, 2, 2), 4) == 3  # K4 - e
+
+    triangle, triangle2 = [(0, 1), (1, 2), (2, 0)], [(3, 4), (4, 5), (5, 3)]
+    dumbbell = embed_planar(6, triangle + triangle2 + [(2, 3)])
+    bowtie = embed_planar(5, triangle + [(2, 3), (3, 4), (4, 2)])
+    # both hubs' walks come back to their own hub
+    square, square2 = [(0, 1), (1, 2), (2, 3), (3, 0)], \
+        [(5, 6), (6, 7), (7, 8), (8, 5)]
+    squares = embed_planar(9, square + square2 + [(3, 4), (4, 5)])
+    pendant = embed_planar(6, square + [(3, 4), (4, 5)])
+    assert list_chromatic(dumbbell, 4) == 3
+    assert list_chromatic(bowtie, 4) == 3
+    assert list_chromatic(squares, 4) == 3
+    assert list_chromatic(pendant, 4) == 2
 
 
 def test_k24_classic_bad_assignment():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -246,6 +247,58 @@ def test_list_chromatic_values(c4, c6, k4, k1):
 def test_list_chromatic_skips_k1_search_with_an_edge(c4):
     # a graph with an edge is not 1-choosable; no search node is spent
     assert list_chromatic(c4, 1, budget=0) is None
+
+
+def _search_only_list_chromatic(g, k_max):
+    """list_chromatic as the list-assignment search alone decides it."""
+    counter = [solver.DEFAULT_NODE_BUDGET]
+    full = frozenset(range(g.vertex_count))
+    for k in range(2 if g.edge_count else 1, k_max + 1):
+        if solver._Choosability(g._adj, k, counter).choosable(full):
+            return k
+    return None
+
+
+def test_list_chromatic_certificates_match_the_search(corpus_n6):
+    # Erdős–Rubin–Taylor, Alon–Tarsi and the diagonal refutation against
+    # the search they replace, on every graph of the n <= 6 corpus
+    for g in corpus_n6:
+        assert list_chromatic(g, 6) == _search_only_list_chromatic(g, 6), \
+            g.rotations
+
+
+def test_list_chromatic_falls_back_when_alon_tarsi_is_silent(
+        w4, k4, monkeypatch):
+    # W4 (ch = 3) reaches the search; W5 and K4 are refuted at k = 3 by
+    # their lack of a proper 3-coloring
+    monkeypatch.setattr(solver, "_alon_tarsi", lambda *args: False)
+    w5 = embed_planar(6, [(0, i) for i in range(1, 6)]
+                      + [(i, i % 5 + 1) for i in range(1, 6)])
+    assert list_chromatic(w4, 5) == 3
+    assert list_chromatic(w5, 5) == 4
+    assert list_chromatic(k4, 5) == 4
+
+
+def test_list_chromatic_alon_tarsi_spends_the_budget(octahedron):
+    # the octahedron's k = 3 expansion takes 100-200 monomial steps
+    with pytest.raises(BudgetExceeded, match="Alon-Tarsi"):
+        list_chromatic(octahedron, 3, budget=10)
+    assert list_chromatic(octahedron, 3, budget=200) == 3
+
+
+def test_list_chromatic_budget_stops_a_large_expansion():
+    # the 4-regular antiprism on 200 vertices: |E| = 2|V| passes the
+    # degree check at k = 3, and the expansion must stop at the budget
+    n = 100
+    edges = []
+    for i in range(n):
+        j = (i + 1) % n
+        edges += [(i, j), (n + i, n + j), (i, n + i), (i, n + j)]
+    g = embed_planar(2 * n, edges, limit=2 * n)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="Alon-Tarsi"):
+        list_chromatic(g, 3, budget=20_000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_list_chromatic_against_bounded_pool_oracle():
