@@ -164,8 +164,9 @@ def make_cover(g: PlaneGraph, lists: Sequence[Sequence[int]],
 def diagonal_cover(g: PlaneGraph, lists: Sequence[Sequence[int]]) -> Cover:
     """The cover whose matchings pair equal colors: plain list coloring."""
     ls = make_cover(g, lists, {}).lists
-    return make_cover(g, ls, {(u, v): [(c, c) for c in set(ls[u]) & set(ls[v])]
-                              for u, v in g.edges()})
+    return Cover(ls, {(u, v): tuple((c, c) for c in sorted(set(ls[u])
+                                                           & set(ls[v])))
+                      for u, v in g.edges()})
 
 
 PermutationChooser = Callable[[int, int, int], Sequence[int]]
@@ -224,10 +225,8 @@ def full_cover(g: PlaneGraph, k: int,
     if k < 1:
         raise CoverError("k must be at least 1")
     lists = tuple(tuple(range(1, k + 1)) for _ in range(g.vertex_count))
-    matchings: dict[tuple[int, int], PairList] = {}
-    for u, v in g.edges():
-        matchings[(u, v)] = _perm_pairs(tuple(chooser(u, v, k)), k)
-    return Cover(lists, matchings)
+    return Cover(lists, {(u, v): _perm_pairs(tuple(chooser(u, v, k)), k)
+                         for u, v in g.edges()})
 
 
 def bfs_tree_edges(g: PlaneGraph, root: int = 0,
@@ -387,11 +386,17 @@ class _CoverSweep:
             return tuple(perms)
         return map(lift, tuples)
 
+    @functools.cached_property
+    def _base(self) -> Cover:
+        return full_cover(self.g, self.k)
+
     def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
         """The cover of all of g with ``perms`` on ``edges`` and the
-        identity on every other edge."""
-        return full_cover(self.g, self.k,
-                          table_chooser(dict(zip(self.edges, perms))))
+        identity on every other edge; keys in ``g.edges()`` order."""
+        pairs = dict(self._base.matchings)
+        pairs.update(zip(self.edges,
+                         map(_perm_pairs, perms, itertools.repeat(self.k))))
+        return Cover(self._base.lists, pairs)
 
 
 def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:

@@ -58,6 +58,8 @@ class ClassTag:
 
     g1: no 4-cycle shares an edge with a 5-cycle.
     g2: no 4-cycle shares an edge with a 6-cycle.
+    So g1 (g2) fails iff some edge uv has simple u-v paths of lengths 3 and
+    4 (3 and 5); with only even faces there is no 5-cycle, and g1 holds.
     """
 
     in_g1: bool
@@ -137,6 +139,23 @@ class LemmaReport:
     kind: str
     holds: bool
     witnesses: tuple = ()
+
+
+def _has_path(adj: Sequence[frozenset[int]], u: int, v: int, n: int) -> bool:
+    """Whether a simple u-v path of exactly n >= 2 edges exists."""
+    path, stack = [u], [iter(adj[u])]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            del stack[-1], path[-1]
+        elif w == v or w in path:
+            continue
+        elif len(path) < n - 1:
+            path.append(w)
+            stack.append(iter(adj[w]))
+        elif v in adj[w]:
+            return True
+    return False
 
 
 class _Analysis:
@@ -243,12 +262,17 @@ class _Analysis:
 
     @cached_property
     def tag(self) -> ClassTag:
-        # a cycle shares an edge with some 4-cycle iff it meets their union
-        cycles = self.cycles(6)
-        four = {e for c in cycles if c.length == 4 for e in c.edge_set()}
-        meet = {c.length for c in cycles
-                if c.length > 4 and not four.isdisjoint(c.edge_set())}
-        return ClassTag(5 not in meet, 6 not in meet)
+        # uv lies on a 4- and a k-cycle iff simple u-v paths of lengths 3 and
+        # k - 1 exist; a connected graph with only even faces has no odd cycle
+        adj = self.g._adj
+        odd = any(f.length % 2 for f in self.g.faces)
+        open_ = [4, 5] if odd else [5]  # path lengths still to refute
+        for u, v in self.g.edges():
+            if not open_:
+                break
+            if _has_path(adj, u, v, 3):
+                open_ = [n for n in open_ if not _has_path(adj, u, v, n)]
+        return ClassTag(not odd or 4 in open_, 5 in open_)
 
     @cached_property
     def patches(self) -> list[TrianglePatch]:
@@ -375,7 +399,8 @@ class _Analysis:
 
 
 def class_membership(g: PlaneGraph) -> ClassTag:
-    """Test the two forbidden cycle adjacencies (cycles share an edge)."""
+    """Test the two forbidden cycle adjacencies (cycles share an edge) by
+    short u-v path searches per edge uv and by face parity, as in ClassTag."""
     return _Analysis(g).tag
 
 

@@ -25,10 +25,19 @@ def make_cycle(n):
 def triangulated_grid(side):
     """The side x side grid with the diagonal (x, y)-(x+1, y+1) in each
     cell; vertex y * side + x sits at (x, y), rotations run clockwise."""
+    return _grid(side, ((1, 0), (0, 1), (1, 1)))
+
+
+def square_grid(side):
+    """The side x side grid without diagonals: bipartite, with 4-faces."""
+    return _grid(side, ((1, 0), (0, 1)))
+
+
+def _grid(side, steps):
     points = [(x, y) for y in range(side) for x in range(side)]
     nbrs = [[] for _ in points]
     for x, y in points:
-        for dx, dy in ((1, 0), (0, 1), (1, 1)):
+        for dx, dy in steps:
             if x + dx < side and y + dy < side:
                 v, u = y * side + x, (y + dy) * side + x + dx
                 nbrs[v].append(u)

@@ -12,10 +12,12 @@ import networkx as nx
 import dpcolor
 from dpcolor import (BadPermutation, CoverError, NonPerfectTreeMatching,
                      NotAForest, bfs_tree_edges, build_from_rotation,
-                     cover_graph, diagonal_cover, enumerate_covers,
-                     enumerate_cycles, full_cover, identity_chooser,
-                     make_cover, random_chooser, straighten, table_chooser)
-from conftest import make_cycle
+                     cover_graph, diagonal_cover, embed_planar,
+                     enumerate_covers, enumerate_cycles, full_cover,
+                     identity_chooser, make_cover, random_chooser, straighten,
+                     table_chooser)
+from dpcolor.cover import _CoverSweep
+from conftest import PRISM_EDGES, make_cycle
 from oracles import (bfs_tree_edges_queue, count_transversals,
                      has_cycle_union_find, has_transversal_brute,
                      list_colorable)
@@ -279,6 +281,24 @@ def test_diagonal_equivalence_random(corpus_n6):
         adj = [g.neighbors(v) for v in range(g.vertex_count)]
         assert has_transversal_brute(cov.lists, cov.matchings) \
             == list_colorable(adj, lists)
+
+
+def test_enumerate_covers_match_full_cover(c4):
+    # each swept cover equals full_cover under the table of its permutations,
+    # with the identity off the swept edges and keys in g.edges() order
+    prism = embed_planar(6, PRISM_EDGES)
+    for g, k, vertices in ((c4, 2, None), (c4, 3, None), (prism, 2, None),
+                           (prism, 3, None), (prism, 3, (0, 1, 2))):
+        sweep = _CoverSweep(g, k, vertices)
+        stream = list(sweep.stream("full"))
+        covers = (list(enumerate_covers(g, k)) if vertices is None
+                  else [sweep.cover_from(perms) for perms in stream])
+        assert len(covers) == len(stream) > 1
+        for perms, cov in zip(stream, covers):
+            expected = full_cover(g, k,
+                                  table_chooser(dict(zip(sweep.edges, perms))))
+            assert cov == expected
+            assert list(cov.matchings) == list(expected.matchings)
 
 
 def test_enumerate_covers_classes_k3(c4):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
                      embed_planar, enumerate_cycles, find_triangle_patches,
                      identify_and_reduce, plane_graph, structure,
                      verify_structural_lemmas)
-from conftest import holed_grid, make_cycle, triangulated_grid
+from conftest import holed_grid, make_cycle, square_grid, triangulated_grid
 from oracles import (bad_witnesses_scan, class_membership_pairwise,
                      cycle_sides_face_bfs)
 
@@ -323,6 +324,36 @@ def test_internal_444_pair_reported_as_reducible():
     assert len(g.face(f1).edge_set() & g.face(f2).edge_set()) == 1
 
 
+def test_class_tag_matches_pairwise_oracle(corpus_n6, corpus_g1_n9,
+                                           corpus_g2_n9, k4, w4, hex_prism):
+    # the path-length tag against every 4-cycle met with every 5- and
+    # 6-cycle; the square grid is in g1 by face parity alone, and K4 (odd,
+    # 4-cycles, no 5-cycle) runs the length-4 search to the end
+    def relabel(g, seed):
+        perm = list(range(g.vertex_count))
+        random.Random(seed).shuffle(perm)
+        rot = [None] * g.vertex_count
+        for v, r in enumerate(g.rotations):
+            rot[perm[v]] = [perm[u] for u in r]
+        return build_from_rotation(g.vertex_count, rot,
+                                   [perm[v] for v in g.outer_face.boundary])
+
+    grids = [triangulated_grid(6), holed_grid()]
+    graphs = (corpus_n6 + corpus_g1_n9 + corpus_g2_n9 + grids
+              + [relabel(g, s) for g in grids for s in range(3)]
+              + [square_grid(5), k4, w4, hex_prism, make_cycle(10)])
+    labels = set()
+    for g in graphs:
+        pairwise = class_membership_pairwise(
+            c.vertices for c in enumerate_cycles(g, 6))
+        tag = class_membership(g)
+        assert tag == ClassTag(*pairwise)
+        labels.add(tag.label)
+    assert labels == {"neither", "g1", "g2", "both"}
+    assert class_membership(square_grid(5)).label == "g1"
+    assert class_membership(k4).label == "both"
+
+
 def test_cycle_facts_match_oracles(corpus_n6):
     # every cycle of length <= 8: the sides against the face two-coloring,
     # the bad flag against a scan of every vertex, the class tag against the
@@ -410,13 +441,13 @@ def test_checks_enumerate_cycles_once_past_the_tag(monkeypatch, hex_prism, w4):
         return calls["enumerate_cycles"], calls["sides"]
 
     grid = triangulated_grid(4)
-    # the tag reads cycles to length 6; members of a class read them once
-    # more, to 7 for g1 alone and to 8 when the graph is in g2
-    assert count(verify_structural_lemmas, grid)[0] == 1       # neither
-    assert count(verify_structural_lemmas, hex_prism)[0] == 2  # g1 only
-    assert count(verify_structural_lemmas, w4)[0] == 2         # g2 only
-    assert count(verify_structural_lemmas, make_cycle(10))[0] == 2  # both
+    # the tag searches short paths and enumerates no cycle; members of a
+    # class read cycles once, to 7 for g1 alone and to 8 when in g2
+    assert count(verify_structural_lemmas, grid)[0] == 0       # neither
+    assert count(verify_structural_lemmas, hex_prism)[0] == 1  # g1 only
+    assert count(verify_structural_lemmas, w4)[0] == 1         # g2 only
+    assert count(verify_structural_lemmas, make_cycle(10))[0] == 1  # both
     # an audit gated on a class the graph lies outside computes no sides
     for g, ruleset in ((grid, RULESET_G1), (w4, RULESET_G1),
                        (grid, RULESET_G2), (hex_prism, RULESET_G2)):
-        assert count(audit, g, ruleset) == (1, 0)
+        assert count(audit, g, ruleset) == (0, 0)
