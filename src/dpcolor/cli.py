@@ -6,7 +6,8 @@ automatically unless ``--format`` overrides it.
 
 Exit codes: 0 when a verdict was computed, 1 when a counterexample or
 violation was found, 2 on input errors, when an exhaustive request
-exceeds its budget, or when ``extend`` would give a vacuous verdict.
+exceeds its budget, when ``extend`` would give a vacuous verdict, or
+when ``corpus`` is given an empty size range.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def cmd_discharge(args) -> int:
 def cmd_corpus(args) -> int:
     lo, _, hi = args.n.partition("..")
     spec = gio.CorpusSpec(int(lo), int(hi or lo), args.cls, seed=args.seed)
+    if spec.n_min > spec.n_max:
+        raise ValueError(f"empty size range {args.n}")
     for i, g in enumerate(gio.corpus_generate(spec)):
         print(f"# corpus graph {i}")
         print(gio.serialize_rotation_text(g))

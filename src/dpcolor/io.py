@@ -12,20 +12,24 @@ Three graph formats are understood:
   embeds it (small inputs only).
 * planar code - the binary rotation-system format; its stored neighbor
   orders are taken as the embedding.
+
+Small corpus sizes come from Read's orderly descent from K_n.  networkx is
+imported only to embed abstract graphs, for a connectivity floor above 1,
+and for sampled corpus sizes.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .cover import Cover, make_cover
 from .plane_graph import PlaneGraph, build_from_rotation
 from .structure import class_membership
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DocumentError(Exception):
@@ -242,6 +246,7 @@ def document_cover(document: GraphDocument, g: PlaneGraph, k: int) -> Cover:
 
 
 def _nx_graph(n: int, edges: Sequence[tuple[int, int]]) -> nx.Graph:
+    import networkx as nx
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
@@ -257,6 +262,7 @@ def embed_planar(vertex_count: int, edges: Sequence[tuple[int, int]], *,
     """
     if vertex_count > limit:
         raise TooLargeToEmbed(f"{vertex_count} vertices exceed limit {limit}")
+    import networkx as nx
     graph = _nx_graph(vertex_count, edges)
     ok, embedding = nx.check_planarity(graph)
     if not ok:
@@ -300,24 +306,72 @@ def _all_connected_graphs(n: int) -> Iterator[list[tuple[int, int]]]:
 
     Bit t of an edge bitmask stands for the t-th vertex pair in
     lexicographic order.  Each class is kept in its least-bitmask
-    labelling (Read's orderly canonical form), tested directly: a mask is
-    kept when no vertex permutation maps its edges to a smaller mask.
-    Classes come out in ascending order of that mask.
+    labelling (Read's orderly canonical form), and classes come out in
+    ascending order of that mask.  They are found by descent from K_n: a
+    least mask M other than K_n has the least parent M plus its lowest
+    unset bit.  (Relabelling commutes with complement, so M is least
+    exactly when ~M is greatest, and by Read's theorem a greatest mask
+    stays greatest without its lowest set bit.)  So the children of a
+    parent clear one bit below its lowest unset bit; a child is kept when
+    it is connected and least, and a disconnected one has no connected
+    descendants.
     """
+    if n == 0:
+        return  # the null graph is not counted as connected
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {slot: t for t, slot in enumerate(slots)}
-    images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots]
-              for p in itertools.permutations(range(n))]
-    for mask in range(1 << len(slots)):
-        if mask.bit_count() < n - 1:
-            continue
-        bits = [t for t in range(len(slots)) if mask >> t & 1]
-        if any(sum(map(image.__getitem__, bits)) < mask for image in images):
-            continue
-        edges = [slots[t] for t in bits]
-        # networkx calls the null graph's connectivity undefined
-        if n > 0 and nx.is_connected(_nx_graph(n, edges)):
-            yield edges
+    found = [(1 << len(slots)) - 1]
+    stack = found[:]
+    while stack:
+        parent = stack.pop()
+        for t in range((~parent & (parent + 1)).bit_length() - 1):
+            child = parent & ~(1 << t)
+            adj = [0] * n
+            for s, (i, j) in enumerate(slots):
+                if child >> s & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            if _connected(adj) and _least(adj):
+                found.append(child)
+                stack.append(child)
+    for mask in sorted(found):
+        yield [slot for t, slot in enumerate(slots) if mask >> t & 1]
+
+
+def _connected(adj: list[int]) -> bool:
+    """Whether the graph with bitmask neighbor rows ``adj`` is connected."""
+    reach, grown = 0, 1
+    while grown != reach:
+        reach = grown
+        for v in range(len(adj)):
+            if reach >> v & 1:
+                grown |= adj[v]
+    return reach == (1 << len(adj)) - 1
+
+
+def _least(adj: list[int]) -> bool:
+    """Whether no relabelling maps the graph to a smaller edge bitmask.
+
+    Labels are given from n - 1 down.  Giving label L fixes the image bits
+    of the pairs (L, j), j > L, and they weigh less than every bit fixed
+    before them; so a branch whose row exceeds the mask's row is pruned,
+    and a row below it proves a smaller image.
+    """
+    n = len(adj)
+    stack = [(n - 1, ())]  # (label to give, holders of labels above it)
+    while stack:
+        label, above = stack.pop()
+        want = adj[label] >> (label + 1)
+        for v in range(n):
+            if v in above:
+                continue
+            row = 0
+            for k, w in enumerate(above):
+                row |= (adj[v] >> w & 1) << k
+            if row < want:
+                return False
+            if row == want and label:
+                stack.append((label - 1, (v,) + above))
+    return True
 
 
 def _passes(spec: CorpusSpec, n: int, edges: list[tuple[int, int]],
@@ -328,8 +382,10 @@ def _passes(spec: CorpusSpec, n: int, edges: list[tuple[int, int]],
         if n <= c:
             if len(edges) != n * (n - 1) // 2:
                 return False
-        elif nx.node_connectivity(_nx_graph(n, edges)) < c:
-            return False
+        else:
+            import networkx as nx
+            if nx.node_connectivity(_nx_graph(n, edges)) < c:
+                return False
     if spec.class_filter is not None:
         tag = class_membership(g)
         if spec.class_filter == "g1" and not tag.in_g1:
@@ -351,6 +407,7 @@ def corpus_generate(spec: CorpusSpec) -> Iterator[PlaneGraph]:
                 if _passes(spec, n, edges, g):
                     yield g
         else:
+            import networkx as nx
             rng = random.Random(spec.seed * 1_000_003 + n)
             # earlier distinct draws, keyed by sorted degree sequence
             seen: dict[tuple[int, ...], list[nx.Graph]] = {}
@@ -378,6 +435,7 @@ def corpus_generate(spec: CorpusSpec) -> Iterator[PlaneGraph]:
 def _random_connected_planar(rng: random.Random, n: int
                              ) -> list[tuple[int, int]]:
     """A random spanning tree plus random planarity-keeping extra edges."""
+    import networkx as nx
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))

@@ -8,7 +8,7 @@ enumeration for coloring and transversal counts.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def brute_force_cycles(n: int, edges: Iterable[tuple[int, int]],
@@ -232,3 +232,32 @@ def has_cycle_union_find(n: int, edges: Iterable[tuple[int, int]]) -> bool:
             return True
         parent[ru] = rv
     return False
+
+
+def connected_graphs_mask_scan(n: int) -> Iterator[list[tuple[int, int]]]:
+    """All connected graphs on n labeled vertices, one per iso class, in
+    their least-bitmask labelling and in ascending order of that mask.
+
+    Bit t of an edge bitmask stands for the t-th vertex pair in
+    lexicographic order.  Every mask is scanned in ascending order and
+    kept when no vertex permutation maps its edges to a smaller mask.
+    """
+    import networkx as nx
+
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {slot: t for t, slot in enumerate(slots)}
+    images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots]
+              for p in itertools.permutations(range(n))]
+    for mask in range(1 << len(slots)):
+        if mask.bit_count() < n - 1:
+            continue
+        bits = [t for t in range(len(slots)) if mask >> t & 1]
+        if any(sum(map(image.__getitem__, bits)) < mask for image in images):
+            continue
+        edges = [slots[t] for t in bits]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        # networkx calls the null graph's connectivity undefined
+        if n > 0 and nx.is_connected(graph):
+            yield edges

@@ -130,6 +130,13 @@ def test_corpus_command(capsys):
     assert "# corpus graph 0" in out and "outer:" in out
 
 
+def test_corpus_rejects_empty_size_range(capsys):
+    # an empty range would print no graph and exit 0, a silent vacuous answer
+    assert main(["corpus", "--n", "5..3"]) == 2
+    captured = capsys.readouterr()
+    assert "empty size range 5..3" in captured.err and captured.out == ""
+
+
 def test_input_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.rot"
     bad.write_text("definitely not a graph\n\x01")

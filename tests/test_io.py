@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import dpcolor
 from dpcolor import (CorpusSpec, DocumentSyntaxError, GraphDocument,
                      NotPlanar, TooLargeToEmbed, class_membership,
                      corpus_generate,
                      document_cover, embed_planar, load_document, parse,
                      parse_graph6, parse_planar_code, parse_rotation_text,
                      serialize_rotation_text)
+from dpcolor.io import _all_connected_graphs
+from oracles import connected_graphs_mask_scan
 
 
 def test_rotation_text_round_trip(w4, hex_prism):
@@ -121,6 +128,46 @@ def test_corpus_empty_range():
     assert list(corpus_generate(CorpusSpec(5, 4))) == []
     # no connected graph has 0 vertices
     assert [g.vertex_count for g in corpus_generate(CorpusSpec(0, 2))] == [1, 2]
+
+
+def test_descent_matches_mask_scan():
+    # the same edge lists in the same order as scanning every bitmask
+    for n in range(7):
+        assert list(_all_connected_graphs(n)) \
+            == list(connected_graphs_mask_scan(n))
+
+
+def test_corpus_counts_at_seven_vertices():
+    # connected graphs (OEIS A001349) and connected planar graphs (A003094)
+    assert sum(1 for _ in _all_connected_graphs(7)) == 853
+    spec = CorpusSpec(7, 7, exhaustive_limit=7)
+    assert sum(1 for _ in corpus_generate(spec)) == 646
+
+
+def test_networkx_loaded_only_to_embed(tmp_path, c4):
+    # a fresh interpreter: importing the package and reading a rotation
+    # system leave networkx unloaded; graph6 input still embeds through it
+    rot = tmp_path / "c4.rot"
+    rot.write_text(serialize_rotation_text(c4))
+    g6 = tmp_path / "k4.g6"
+    g6.write_text("C~\n")
+    script = f"""
+import sys
+import dpcolor
+assert "networkx" not in sys.modules
+from dpcolor.cli import main
+assert main(["faces", {str(rot)!r}]) == 0
+assert "networkx" not in sys.modules
+assert main(["faces", {str(g6)!r}]) == 0
+assert "networkx" in sys.modules
+"""
+    src = str(Path(dpcolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("face ") == 2 + 4
 
 
 def _nx(g):
