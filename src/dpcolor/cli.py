@@ -7,7 +7,7 @@ automatically unless ``--format`` overrides it.
 Exit codes: 0 when a verdict was computed, 1 when a counterexample or
 violation was found, 2 on input errors, when an exhaustive request
 exceeds its budget, when ``extend`` would give a vacuous verdict, or
-when ``corpus`` is given an empty size range.
+when ``corpus`` has an empty size range or ``cycles`` a bound below 3.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    if args.max < 3:
+        raise ValueError(f"--max {args.max}: no cycle is shorter than 3")
     g, _ = _read_graph(args)
     for c in enumerate_cycles(g, args.max):
         print(f"cycle len {c.length}: {' '.join(map(str, c.vertices))}")

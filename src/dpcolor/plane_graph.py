@@ -312,37 +312,47 @@ def enumerate_cycles(g: PlaneGraph, max_len: int) -> list[Cycle]:
 
     Each cycle is reported once up to rotation and reflection: the stored
     tuple starts at the cycle's smallest vertex and runs toward the smaller
-    of its two neighbors on the cycle.
+    of its two neighbors on the cycle. The list is grouped by length, and is
+    lexicographic within a length. Paths enter only vertices whose distance
+    to the root through larger vertices leaves room to close, none beyond
+    ``max_len // 2``: both arcs between one and the root on a cycle exceed it.
     """
     if max_len < 3:
         return []
-    adj = [sorted(g.neighbors(v)) for v in range(g.vertex_count)]
-    out: list[Cycle] = []
-    on_path = [False] * g.vertex_count
-    for root in range(g.vertex_count):
-        # simple paths up from the root, on an explicit stack; each one
-        # closes into a cycle when its end is adjacent to the root
-        path = [root]
-        closing = set(adj[root])
-        stack = [iter(adj[root])]
+    n = g.vertex_count
+    adj = [sorted(g.neighbors(v)) for v in range(n)]
+    by_length: list[list[Cycle]] = [[] for _ in range(min(max_len, n) + 1)]
+    # distance to the root, max_len if unreached, max_len more on the path
+    dist = [max_len] * n
+    for root in range(n):
+        dist[root], reached = 0, [root]
+        for v in reached:
+            if dist[v] < max_len // 2:
+                for w in adj[v]:
+                    if w > root and dist[w] == max_len:
+                        dist[w] = dist[v] + 1
+                        reached.append(w)
+        dist[root] += max_len
+        # simple paths up from the root in ascending order, on a stack
+        path, stack = [root], [iter(adj[root])]
         while stack:
+            room = max_len - len(path)
             for w in stack[-1]:
-                if w > root and not on_path[w]:
+                if dist[w] <= room:
                     break
             else:
                 stack.pop()
-                on_path[path.pop()] = False
+                dist[path.pop()] -= max_len
                 continue
-            path.append(w)
-            if len(path) >= 3 and path[1] < w and w in closing:
-                out.append(Cycle(tuple(path)))
-            if len(path) < max_len:
-                on_path[w] = True
+            if dist[w] == 1 and len(path) >= 2 and path[1] < w:
+                by_length[len(path) + 1].append(Cycle((*path, w)))
+            if len(path) < max_len - 1:
+                path.append(w)
+                dist[w] += max_len
                 stack.append(iter(adj[w]))
-            else:
-                path.pop()
-    out.sort(key=lambda c: (c.length, c.vertices))
-    return out
+        for v in reached:
+            dist[v] = max_len
+    return [c for cycles in by_length for c in cycles]
 
 
 def face_shared_edges(g: PlaneGraph, f1: Face, f2: Face) -> int:

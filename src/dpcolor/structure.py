@@ -173,8 +173,8 @@ class _Analysis:
         self._cycles: list[Cycle] = []
 
     def cycles(self, max_len: int) -> list[Cycle]:
-        """Cycles of length at most ``max_len``, grouped by length as
-        enumerate_cycles sorts them; enumerated again only to reach further."""
+        """Cycles of length at most ``max_len`` in enumerate_cycles' order,
+        grouped by length; enumerated again only to reach further."""
         if max_len > self._cycles_up_to:
             self._cycles = enumerate_cycles(self.g, max_len)
             self._cycles_up_to = max_len

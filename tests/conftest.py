@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -46,6 +47,17 @@ def _grid(side, steps):
         points[u][1] - points[v][1], points[u][0] - points[v][0]))
         for v, ns in enumerate(nbrs)]
     return build_from_rotation(len(points), rotations)
+
+
+def relabel(g, seed):
+    """g with its vertices renamed by a seeded random permutation."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    rot = [None] * g.vertex_count
+    for v, r in enumerate(g.rotations):
+        rot[perm[v]] = [perm[u] for u in r]
+    return build_from_rotation(g.vertex_count, rot,
+                               [perm[v] for v in g.outer_face.boundary])
 
 
 K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from dpcolor.plane_graph import Cycle
+
 
 def brute_force_cycles(n: int, edges: Iterable[tuple[int, int]],
                        max_len: int) -> set[tuple[int, ...]]:
@@ -261,3 +263,37 @@ def connected_graphs_mask_scan(n: int) -> Iterator[list[tuple[int, int]]]:
         # networkx calls the null graph's connectivity undefined
         if n > 0 and nx.is_connected(graph):
             yield edges
+
+
+def enumerate_cycles_unpruned(g, max_len: int) -> list[Cycle]:
+    """The cycle enumeration without distance pruning: every simple path up
+    from each root, then one sort by (length, vertices)."""
+    if max_len < 3:
+        return []
+    adj = [sorted(g.neighbors(v)) for v in range(g.vertex_count)]
+    out: list[Cycle] = []
+    on_path = [False] * g.vertex_count
+    for root in range(g.vertex_count):
+        # simple paths up from the root, on an explicit stack; each one
+        # closes into a cycle when its end is adjacent to the root
+        path = [root]
+        closing = set(adj[root])
+        stack = [iter(adj[root])]
+        while stack:
+            for w in stack[-1]:
+                if w > root and not on_path[w]:
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+                continue
+            path.append(w)
+            if len(path) >= 3 and path[1] < w and w in closing:
+                out.append(Cycle(tuple(path)))
+            if len(path) < max_len:
+                on_path[w] = True
+                stack.append(iter(adj[w]))
+            else:
+                path.pop()
+    out.sort(key=lambda c: (c.length, c.vertices))
+    return out

@@ -137,6 +137,16 @@ def test_corpus_rejects_empty_size_range(capsys):
     assert "empty size range 5..3" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("bound", ["2", "0", "-3"])
+def test_cycles_rejects_bound_below_three(c4_file, capsys, bound):
+    # no cycle is that short, so an empty listing with exit 0 would be a
+    # silent vacuous answer
+    assert main(["cycles", c4_file, "--max", bound]) == 2
+    captured = capsys.readouterr()
+    assert f"--max {bound}: no cycle is shorter than 3" in captured.err
+    assert captured.out == ""
+
+
 def test_input_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.rot"
     bad.write_text("definitely not a graph\n\x01")

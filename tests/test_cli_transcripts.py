@@ -22,7 +22,8 @@ DATA = Path(__file__).resolve().parent / "data" / "cli"
 
 # prism.rot: rotation-text with a covers: section (k = 3);
 # octahedron.g6: graph6; wheel5.pc: planar code (hub 0, rim 1..5);
-# wheel5_cover.rot: a k = 3 cover of the wheel for solve --cover
+# wheel5_cover.rot: a k = 3 cover of the wheel for solve --cover;
+# square4.rot: the 4 x 4 square grid, vertex 15 at distance 6 from vertex 0
 CASES = {
     "faces-prism": ["faces", "prism.rot"],
     "faces-octahedron": ["faces", "octahedron.g6"],
@@ -30,6 +31,7 @@ CASES = {
     "cycles-prism": ["cycles", "prism.rot", "--max", "6"],
     "cycles-octahedron": ["cycles", "octahedron.g6", "--max", "6"],
     "cycles-wheel": ["cycles", "wheel5.pc", "--max", "6"],
+    "cycles-square4": ["cycles", "square4.rot", "--max", "8"],
     "class-prism": ["class", "prism.rot"],
     "class-octahedron": ["class", "octahedron.g6"],
     "class-wheel": ["class", "wheel5.pc"],

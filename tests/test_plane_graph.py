@@ -9,8 +9,9 @@ import pytest
 
 from dpcolor import (BadHint, InconsistentRotation, NonPlanarClosure,
                      build_from_rotation, enumerate_cycles, face_shared_edges)
-from conftest import make_cycle
-from oracles import brute_force_cycles
+from conftest import (holed_grid, make_cycle, relabel, square_grid,
+                      triangulated_grid)
+from oracles import brute_force_cycles, enumerate_cycles_unpruned
 
 
 def test_k4_has_four_triangles(k4):
@@ -130,6 +131,23 @@ def test_enumerate_cycles_against_bruteforce_larger():
         got = {c.vertices for c in enumerate_cycles(g, 8)}
         want = brute_force_cycles(g.vertex_count, g.edges(), 8)
         assert got == want
+
+
+def test_enumerate_cycles_matches_unpruned_oracle(corpus_n6, corpus_g1_n9,
+                                                  corpus_g2_n9):
+    # the distance-pruned search and its length buckets against every simple
+    # path and one final sort: equal lists, in the same order; the relabelled
+    # grids have vertices beyond max_len // 2 of most roots, and C10 has a
+    # bound of at least n
+    grids = [triangulated_grid(6), square_grid(6), holed_grid()]
+    cases = ([(g, range(2, 9)) for g in corpus_n6]
+             + [(g, (7, 8)) for g in corpus_g1_n9 + corpus_g2_n9]
+             + [(relabel(g, s), range(3, 9)) for g in grids for s in range(3)]
+             + [(make_cycle(10), (10, 50))])
+    for g, bounds in cases:
+        for max_len in bounds:
+            assert enumerate_cycles(g, max_len) == \
+                enumerate_cycles_unpruned(g, max_len)
 
 
 def test_enumerate_cycles_whole_length_of_long_cycle():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -14,7 +13,8 @@ from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
                      embed_planar, enumerate_cycles, find_triangle_patches,
                      identify_and_reduce, plane_graph, structure,
                      verify_structural_lemmas)
-from conftest import holed_grid, make_cycle, square_grid, triangulated_grid
+from conftest import (holed_grid, make_cycle, relabel, square_grid,
+                      triangulated_grid)
 from oracles import (bad_witnesses_scan, class_membership_pairwise,
                      cycle_sides_face_bfs)
 
@@ -329,15 +329,6 @@ def test_class_tag_matches_pairwise_oracle(corpus_n6, corpus_g1_n9,
     # the path-length tag against every 4-cycle met with every 5- and
     # 6-cycle; the square grid is in g1 by face parity alone, and K4 (odd,
     # 4-cycles, no 5-cycle) runs the length-4 search to the end
-    def relabel(g, seed):
-        perm = list(range(g.vertex_count))
-        random.Random(seed).shuffle(perm)
-        rot = [None] * g.vertex_count
-        for v, r in enumerate(g.rotations):
-            rot[perm[v]] = [perm[u] for u in r]
-        return build_from_rotation(g.vertex_count, rot,
-                                   [perm[v] for v in g.outer_face.boundary])
-
     grids = [triangulated_grid(6), holed_grid()]
     graphs = (corpus_n6 + corpus_g1_n9 + corpus_g2_n9 + grids
               + [relabel(g, s) for g in grids for s in range(3)]
