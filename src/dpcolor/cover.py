@@ -386,17 +386,14 @@ class _CoverSweep:
             return tuple(perms)
         return map(lift, tuples)
 
-    @functools.cached_property
-    def _base(self) -> Cover:
-        return full_cover(self.g, self.k)
-
     def cover_from(self, perms: Sequence[tuple[int, ...]]) -> Cover:
         """The cover of all of g with ``perms`` on ``edges`` and the
         identity on every other edge; keys in ``g.edges()`` order."""
-        pairs = dict(self._base.matchings)
+        ident = tuple(range(1, self.k + 1))
+        pairs = dict.fromkeys(self.g.edges(), _perm_pairs(ident, self.k))
         pairs.update(zip(self.edges,
                          map(_perm_pairs, perms, itertools.repeat(self.k))))
-        return Cover(self._base.lists, pairs)
+        return Cover((ident,) * self.g.vertex_count, pairs)
 
 
 def enumerate_covers(g: PlaneGraph, k: int) -> Iterator[Cover]:

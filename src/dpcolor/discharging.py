@@ -418,7 +418,7 @@ def audit(g: PlaneGraph, ruleset: RuleSet) -> DischargingReport:
     acct = OuterAccounting(d_outer, s, s_prime, f3, f3_prime, t1, t2, b, k)
 
     # a simple outer cycle with no chord and no shared interior neighbour
-    chordless = an.outer_witnesses == ()
+    chordless = not an.outer_witnesses
 
     def touch_outer(edges: Iterable[tuple[int, int]]) -> bool:
         return all(u in outer_verts or v in outer_verts for u, v in edges)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .plane_graph import (Cycle, Face, PlaneGraph, _components, _norm_edge,
-                          _reach, build_from_rotation, enumerate_cycles)
+from .plane_graph import (Cycle, Face, PlaneGraph, _components, _cyclic_min,
+                          _norm_edge, _reach, build_from_rotation,
+                          enumerate_cycles)
 
 
 class StructureError(Exception):
@@ -220,13 +221,17 @@ class _Analysis:
                             if self.g.degree(v) <= 3))
 
     @cached_property
-    def outer_witnesses(self) -> Optional[tuple[tuple[int, ...], ...]]:
+    def outer_witnesses(self) -> tuple[tuple[int, ...], ...]:
         """Chords (u, v) of the outer cycle, and (u, v, w) where non-adjacent
-        u, v on it share the interior neighbour w; None when the outer face
-        walk is not a simple cycle."""
+        u, v on it share the interior neighbour w.  When the outer face walk
+        is not a simple cycle: (v,) for each vertex it repeats, or (walk,)
+        for a walk of fewer than 3 vertices."""
         walk = self.g.outer_face.boundary
-        if len(walk) < 3 or len(set(walk)) != len(walk):
-            return None
+        if len(walk) < 3:
+            return (walk,)
+        repeated = sorted(v for v, n in Counter(walk).items() if n > 1)
+        if repeated:
+            return tuple((v,) for v in repeated)
         return tuple(_chords_and_shared_neighbors(self.g, walk,
                                                   self.internal_vertices))
 
@@ -581,7 +586,7 @@ def verify_structural_lemmas(g: PlaneGraph) -> list[LemmaReport]:
         report("g2-no-separating-good-8minus-cycle", "precondition",
                tuple(an.separating(8, good=True)))
     report("outer-chordless-no-shared-interior-neighbor", "precondition",
-           an.outer_witnesses or ())
+           an.outer_witnesses)
 
     if tag.in_g2:
         int444 = an.internal_triangles & an.all4_triangles
@@ -621,39 +626,28 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
     if common:
         raise CreatesParallelEdge(
             f"{a},{b} share neighbors {sorted(common)} outside the removed set")
+    # a, b share no neighbour outside the removed set, so every 4-cycle
+    # through a, b and the center closes at some x of ``other``
+    closing = [(a, center_v, b, x) for x in other
+               if g.has_edge(a, x) and g.has_edge(b, x)]
     an = _Analysis(g)
-    for c in an.cycles(4):
-        if c.length == 4 and {a, b, center_v} <= c.vertex_set():
-            if an.bad_witnesses(c.vertices):
-                raise BadFourCyclePresent(f"bad 4-cycle {c.vertices}")
-    touching = {center_v, a, b, *other} - an.internal_vertices
+    for c in sorted(min(_cyclic_min(c), _cyclic_min(c[::-1])) for c in closing):
+        if an.bad_witnesses(c):
+            raise BadFourCyclePresent(f"bad 4-cycle {c}")
+    touching = {center_v, a, b, *other} & g.outer_vertices()
     if touching:
         raise NotInternal(f"vertices {sorted(touching)} lie on the outer face")
 
     # merged rotation: splice b's rotation into a's at the slot the center held
-    rot_a = [x for x in g.neighbors(a) if x not in removed or x == center_v]
-    rot_b = [x for x in g.neighbors(b) if x not in removed or x == center_v]
-    ia = rot_a.index(center_v)
-    ib = rot_b.index(center_v)
-    spliced = (rot_a[:ia]
-               + [rot_b[(ib + 1 + t) % len(rot_b)] for t in range(len(rot_b) - 1)]
-               + rot_a[ia + 1:])
-    spliced = [x for x in spliced if x not in removed]
-
+    rot_a, rot_b = g.neighbors(a), g.neighbors(b)
+    ia, ib = rot_a.index(center_v), rot_b.index(center_v)
+    spliced = rot_a[:ia] + rot_b[ib + 1:] + rot_b[:ib] + rot_a[ia + 1:]
     old_ids = [v for v in range(g.vertex_count) if v not in removed and v != b]
     new_id = {v: i for i, v in enumerate(old_ids)}
-
-    def renamed(x: int) -> int:
-        return new_id[a] if x == b else new_id[x]
-
-    rotations: list[list[int]] = []
-    for v in old_ids:
-        if v == a:
-            rotations.append([renamed(x) for x in spliced])
-        else:
-            rotations.append([renamed(x) for x in g.neighbors(v)
-                              if x not in removed])
-    hint = [renamed(x) for x in g.outer_face.boundary]
+    new_id[b] = new_id[a]
+    rotations = [[new_id[x] for x in (spliced if v == a else g.neighbors(v))
+                  if x not in removed] for v in old_ids]
+    hint = [new_id[x] for x in g.outer_face.boundary]
     reduced = build_from_rotation(len(old_ids), rotations, hint)
     if mode in ("g1", "g2"):
         tag = class_membership(reduced)
@@ -664,34 +658,3 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
     return reduced
-
-
-def five_face_triangle_contact_rule(g: PlaneGraph, five_face_id: int,
-                                    triangle_id: int) -> Optional[bool]:
-    """Check one labeled configuration: an internal 5-face next to an
-    internal all-4-vertex triangle.
-
-    Returns None when the labeled faces do not form the configuration;
-    otherwise True when every 4-vertex on the 5-face opposite the shared
-    edge forces the shared edge's far endpoint to have a neighbor on the
-    outer face.
-    """
-    an = _Analysis(g)
-    f = g.face(five_face_id)
-    t = g.face(triangle_id)
-    if (f.length != 5 or not {f.id, t.id} <= an.internal_faces
-            or t.id not in an.all4_triangles):
-        return None
-    shared = f.edge_set() & t.edge_set()
-    if len(shared) != 1:
-        return None
-    ends = {x for e in shared for x in e}
-    outer = g.outer_vertices()
-    walk = f.boundary
-    for i, cur in enumerate(walk):
-        nxt = walk[(i + 1) % len(walk)]
-        for near, far in ((walk[i - 1], nxt), (nxt, walk[i - 1])):
-            if ({near, cur} == ends and g.degree(far) == 4
-                    and outer.isdisjoint(g.neighbors(cur))):
-                return False
-    return True

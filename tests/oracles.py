@@ -8,9 +8,12 @@ enumeration for coloring and transversal counts.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from dpcolor.plane_graph import Cycle
+from dpcolor.plane_graph import Cycle, PlaneGraph, build_from_rotation
+from dpcolor.structure import (BadFourCyclePresent, CreatesForbiddenAdjacency,
+                               CreatesLoop, CreatesParallelEdge, NotInternal,
+                               _Analysis, class_membership)
 
 
 def brute_force_cycles(n: int, edges: Iterable[tuple[int, int]],
@@ -297,3 +300,80 @@ def enumerate_cycles_unpruned(g, max_len: int) -> list[Cycle]:
                 path.pop()
     out.sort(key=lambda c: (c.length, c.vertices))
     return out
+
+
+def identify_and_reduce_reference(g: PlaneGraph, center_v: int,
+                                  kept_pair: Iterable[int],
+                                  mode: Optional[str] = "g2") -> PlaneGraph:
+    """Delete the center, its other two neighbors, and merge the kept pair.
+
+    The reduction as first written: it enumerates every cycle of length at
+    most 4 to find the 4-cycles through the kept pair and the center.
+
+    The center must be a 4-vertex and the kept pair must be opposite in its
+    rotation.  Structural refusals (loop, parallel edge, bad 4-cycle
+    through the kept pair and the center) are checked before internality so
+    that impossible identifications are reported as such even on graphs
+    where the vertices touch the outer face.  With mode "g1"/"g2" the
+    result must stay in the respective class, otherwise the identification
+    is refused as creating a forbidden adjacency.
+    """
+    if g.degree(center_v) != 4:
+        raise NotInternal(f"center {center_v} is not a 4-vertex")
+    rot = g.neighbors(center_v)
+    kept = tuple(sorted(kept_pair))
+    opposite = (tuple(sorted((rot[0], rot[2]))), tuple(sorted((rot[1], rot[3]))))
+    if kept not in opposite:
+        raise ValueError(f"kept pair {kept} is not opposite at {center_v}")
+    other = opposite[1] if kept == opposite[0] else opposite[0]
+    removed = frozenset({center_v, *other})
+    a, b = kept
+    if g.has_edge(a, b):
+        raise CreatesLoop(f"kept pair {a},{b} adjacent: identification loops")
+    common = (set(g.neighbors(a)) & set(g.neighbors(b))) - removed
+    if common:
+        raise CreatesParallelEdge(
+            f"{a},{b} share neighbors {sorted(common)} outside the removed set")
+    an = _Analysis(g)
+    for c in an.cycles(4):
+        if c.length == 4 and {a, b, center_v} <= c.vertex_set():
+            if an.bad_witnesses(c.vertices):
+                raise BadFourCyclePresent(f"bad 4-cycle {c.vertices}")
+    touching = {center_v, a, b, *other} - an.internal_vertices
+    if touching:
+        raise NotInternal(f"vertices {sorted(touching)} lie on the outer face")
+
+    # merged rotation: splice b's rotation into a's at the slot the center held
+    rot_a = [x for x in g.neighbors(a) if x not in removed or x == center_v]
+    rot_b = [x for x in g.neighbors(b) if x not in removed or x == center_v]
+    ia = rot_a.index(center_v)
+    ib = rot_b.index(center_v)
+    spliced = (rot_a[:ia]
+               + [rot_b[(ib + 1 + t) % len(rot_b)] for t in range(len(rot_b) - 1)]
+               + rot_a[ia + 1:])
+    spliced = [x for x in spliced if x not in removed]
+
+    old_ids = [v for v in range(g.vertex_count) if v not in removed and v != b]
+    new_id = {v: i for i, v in enumerate(old_ids)}
+
+    def renamed(x: int) -> int:
+        return new_id[a] if x == b else new_id[x]
+
+    rotations: list[list[int]] = []
+    for v in old_ids:
+        if v == a:
+            rotations.append([renamed(x) for x in spliced])
+        else:
+            rotations.append([renamed(x) for x in g.neighbors(v)
+                              if x not in removed])
+    hint = [renamed(x) for x in g.outer_face.boundary]
+    reduced = build_from_rotation(len(old_ids), rotations, hint)
+    if mode in ("g1", "g2"):
+        tag = class_membership(reduced)
+        ok = tag.in_g1 if mode == "g1" else tag.in_g2
+        if not ok:
+            raise CreatesForbiddenAdjacency(
+                f"identified graph leaves class {mode}")
+    elif mode is not None:
+        raise ValueError(f"unknown mode {mode!r}")
+    return reduced

@@ -6,6 +6,7 @@ import ast
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import dpcolor
@@ -344,6 +345,25 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_every_package_function_has_a_caller():
+    # a module-level function or class that the package does not export
+    # must be named somewhere in the package besides its own definition
+    root = Path(dpcolor.__file__).parent
+    init = ast.parse((root / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    texts = {path: path.read_text() for path in sorted(root.rglob("*.py"))}
+    text = "\n".join(texts.values())
+    uncalled = [f"{path.stem}.{node.name}"
+                for path, src in texts.items()
+                for node in ast.parse(src).body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and node.name not in exported
+                and len(re.findall(rf"\b{node.name}\b", text)) < 2]
+    assert not uncalled, uncalled
 
 
 def test_no_recursion_in_package():

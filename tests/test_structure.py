@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
-                     CreatesLoop, CreatesParallelEdge, NotACycle, NotInternal,
+                     CreatesForbiddenAdjacency, CreatesLoop, CreatesParallelEdge, NotACycle, NotInternal,
                      audit, build_from_rotation, class_membership,
                      classify_cycle, classify_vertices_and_faces, cycle_sides,
                      embed_planar, enumerate_cycles, find_triangle_patches,
@@ -16,7 +17,7 @@ from dpcolor import (RULESET_G1, RULESET_G2, BadFourCyclePresent, ClassTag,
 from conftest import (holed_grid, make_cycle, relabel, square_grid,
                       triangulated_grid)
 from oracles import (bad_witnesses_scan, class_membership_pairwise,
-                     cycle_sides_face_bfs)
+                     cycle_sides_face_bfs, identify_and_reduce_reference)
 
 
 def wheel(spokes):
@@ -173,6 +174,20 @@ def test_lemma_reports_good_case(c6, hex_prism):
         assert all(r.holds for r in reports if r.kind == "theorem")
 
 
+def test_outer_precondition_needs_a_simple_outer_cycle(c6, w4, hex_prism):
+    # a pendant vertex makes the outer walk repeat the vertex it hangs on,
+    # and a single edge has a walk of two vertices; neither is a cycle
+    def outer(g):
+        return next((r.holds, r.witnesses) for r in verify_structural_lemmas(g)
+                    if r.check_id == "outer-chordless-no-shared-interior-neighbor")
+    pendant = embed_planar(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    assert outer(pendant) == (False, ((0,),))
+    assert outer(embed_planar(2, [(0, 1)])) == (False, ((0, 1),))
+    assert outer(c6) == (True, ())
+    assert outer(hex_prism) == (True, ())
+    assert outer(w4) == (False, ((0, 2, 4), (1, 3, 4)))
+
+
 def test_identify_octahedron_refuses_parallel(octahedron):
     with pytest.raises(CreatesParallelEdge):
         identify_and_reduce(octahedron, 0, (1, 3))
@@ -279,25 +294,6 @@ def test_special_face_tagging():
     tri = next(f.id for f in g.faces if f.length == 3)
     assert pent in tags.internal_faces
     assert tags.special_faces[pent] == frozenset({tri})
-
-
-def test_five_face_contact_rule_paths():
-    from dpcolor.structure import five_face_triangle_contact_rule
-    g = _pentagon_with_outer_triangle()
-    pent = next(f.id for f in g.faces if f.length == 5)
-    tri = next(f.id for f in g.faces if f.length == 3)
-    # the triangle here touches the outer face, so the labeled configuration
-    # (internal all-4 triangle) does not apply
-    assert five_face_triangle_contact_rule(g, pent, tri) is None
-    # two 5-faces on one internal all-4 triangle: the far endpoint of the
-    # shared edge 13-20 has an outer neighbour, that of 14-20 has none
-    g = holed_grid()
-    face = {f.vertex_set(): f.id for f in g.faces}
-    tri = face[frozenset({13, 14, 20})]
-    assert five_face_triangle_contact_rule(
-        g, face[frozenset({13, 19, 20, 26, 27})], tri) is True
-    assert five_face_triangle_contact_rule(
-        g, face[frozenset({14, 15, 20, 21, 22})], tri) is False
 
 
 def test_internal_444_pair_reported_as_reducible():
@@ -438,7 +434,53 @@ def test_checks_enumerate_cycles_once_past_the_tag(monkeypatch, hex_prism, w4):
     assert count(verify_structural_lemmas, hex_prism)[0] == 1  # g1 only
     assert count(verify_structural_lemmas, w4)[0] == 1         # g2 only
     assert count(verify_structural_lemmas, make_cycle(10))[0] == 1  # both
+    # the identification reads its 4-cycles from the kept pair's neighbours
+    patch = _grid_patch()
+    rot = patch.neighbors(0)
+    assert count(identify_and_reduce, patch, 0, (rot[0], rot[2]), None)[0] == 0
     # an audit gated on a class the graph lies outside computes no sides
     for g, ruleset in ((grid, RULESET_G1), (w4, RULESET_G1),
                        (grid, RULESET_G2), (hex_prism, RULESET_G2)):
         assert count(audit, g, ruleset) == (0, 0)
+
+
+def _identify_outcome(fn, g, center, kept, mode):
+    """The reduced graph's rotations, faces and outer face, or the refusal's
+    type and message."""
+    try:
+        r = fn(g, center, kept, mode)
+    except (ValueError, structure.StructureError) as exc:
+        return type(exc), str(exc)
+    return r.rotations, [f.boundary for f in r.faces], r.outer_face_id
+
+
+def test_identify_matches_reference(corpus_n6, corpus_g1_n9, corpus_g2_n9):
+    # the 4-cycles read from the kept pair's common neighbours, against the
+    # reduction that enumerates every short cycle of the graph
+    grids = [triangulated_grid(6), square_grid(6), holed_grid()]
+    graphs = (corpus_n6 + corpus_g1_n9 + corpus_g2_n9 + grids
+              + [relabel(triangulated_grid(6), 1)])
+    outcomes = Counter()
+    both_bad = 0  # refusals where both vertices of ``other`` close a bad 4-cycle
+    for g in graphs:
+        for center in range(g.vertex_count):
+            if g.degree(center) != 4:
+                continue
+            rot = g.neighbors(center)
+            for kept, other in (((rot[0], rot[2]), (rot[1], rot[3])),
+                                ((rot[1], rot[3]), (rot[0], rot[2]))):
+                for mode in (None, "g1", "g2"):
+                    new = _identify_outcome(identify_and_reduce, g, center,
+                                            kept, mode)
+                    assert new == _identify_outcome(
+                        identify_and_reduce_reference, g, center, kept,
+                        mode), (g.rotations, center, kept, mode)
+                    outcomes[new[0] if isinstance(new[0], type)
+                             else "reduced"] += 1
+                closing = [(kept[0], center, kept[1], x) for x in other
+                           if g.has_edge(kept[0], x) and g.has_edge(kept[1], x)]
+                both_bad += (new[0] is BadFourCyclePresent and len(closing) == 2
+                             and all(bad_witnesses_scan(g, c) for c in closing))
+    assert outcomes["reduced"] > 0 and outcomes[BadFourCyclePresent] > 0
+    assert outcomes[CreatesForbiddenAdjacency] > 0
+    assert both_bad > 0
