@@ -16,6 +16,7 @@ import functools
 import heapq
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import (Callable, Iterable, Iterator, Mapping, Optional,
                     Sequence)
@@ -178,15 +179,49 @@ def _peel(adj: Sequence[frozenset[int]], live: Iterable[int], k: int,
     return peeled, frozenset(live)
 
 
-def _search_order(n: int, edges: Iterable[tuple[int, int]],
-                  first: Sequence[int] = ()) -> list[int]:
-    """``first`` as given, then every other vertex in smallest-last order."""
+@functools.lru_cache(maxsize=16)
+def _smallest_last(n: int, edges: tuple) -> tuple[int, ...]:
+    """Smallest-last order of the graph on range(n) with ``edges``, peeled
+    once per edge set for every transversal call and sweep on it."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    rest = set(range(n)) - set(first)
-    return list(first) + [v for v in _degeneracy_order(n, adj) if v in rest]
+    return tuple(_degeneracy_order(n, adj))
+
+
+def _search_order(n: int, edges: Iterable[tuple[int, int]],
+                  first: Sequence[int] = ()) -> list[int]:
+    """``first`` as given, then every other vertex in smallest-last order."""
+    skip = set(first)
+    return list(first) + [v for v in _smallest_last(n, tuple(edges))
+                          if v not in skip]
+
+
+@functools.lru_cache(maxsize=8192)
+def _color_index(colors: tuple[int, ...]) -> tuple[tuple[int, ...], Mapping]:
+    """A list's colors in ascending order and each color's index there."""
+    ordered = tuple(sorted(colors))
+    return ordered, types.MappingProxyType(
+        {c: i for i, c in enumerate(ordered)})
+
+
+@functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
+def _match_tables(pairs: tuple, lu: tuple, lv: tuple) -> tuple[tuple, tuple]:
+    """Kernel tables of the matching ``pairs`` on an edge (u, v), u < v,
+    with lists ``lu`` and ``lv``; pairs off the lists are ignored.
+
+    The first maps a color index of u to the bit it bans at v, the second
+    a color index of v to the bit it bans at u.
+    """
+    lu, iu = _color_index(lu)
+    lv, iv = _color_index(lv)
+    fwd, back = [0] * len(lu), [0] * len(lv)
+    for cu, cv in pairs:
+        if cu in iu and cv in iv:
+            fwd[iu[cu]] = 1 << iv[cv]
+            back[iv[cv]] = 1 << iu[cu]
+    return tuple(fwd), tuple(back)
 
 
 def _cover_search(cover: Cover, edges: Sequence[tuple[int, int]],
@@ -194,27 +229,29 @@ def _cover_search(cover: Cover, edges: Sequence[tuple[int, int]],
     """First transversal extending ``fixed``; fixed vertices come first."""
     n = len(cover.lists)
     order = _search_order(n, edges, sorted(fixed))
-    pos = {v: i for i, v in enumerate(order)}
-    colors = [sorted(cover.lists[v]) for v in order]
-    index_of = [{c: i for i, c in enumerate(cs)} for cs in colors]
-    domains = [1 << index_of[i][fixed[v]] if v in fixed
-               else (1 << len(colors[i])) - 1 for i, v in enumerate(order)]
-    constraints: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    index = [_color_index(tuple(cs)) for cs in cover.lists]
+    domains = [1 << index[v][1][fixed[v]] if v in fixed
+               else (1 << len(index[v][0])) - 1 for v in order]
+    constraints: list[list[tuple]] = [[] for _ in range(n)]
     for u, v in edges:
-        if pos[u] > pos[v]:
+        if u > v:
             u, v = v, u
+        fwd, back = _match_tables(tuple(cover.matchings.get((u, v), ())),
+                                  index[u][0], index[v][0])
         a, b = pos[u], pos[v]
-        table = [0] * len(colors[a])
-        for cu, cv in cover.matching(u, v):
-            if cu in index_of[a] and cv in index_of[b]:
-                table[index_of[a][cu]] = 1 << index_of[b][cv]
-        constraints[b].append((a, table))
+        if a < b:
+            constraints[b].append((a, fwd))
+        else:
+            constraints[a].append((b, back))
     sol = next(_search(domains, constraints), None)
     if sol is None:
         return None
     out = [0] * n
-    for i, v in enumerate(order):
-        out[v] = colors[i][sol[i]]
+    for v, c in zip(order, sol):
+        out[v] = index[v][0][c]
     return Transversal(tuple(out))
 
 
@@ -222,9 +259,9 @@ def find_transversal(h: Cover) -> Optional[Transversal]:
     """A transversal of the cover graph, or None when none exists.
 
     Deterministic: an iterative backtracking search tries vertices in
-    smallest-last order and colors in ascending order, and returns the
-    first transversal it meets.  Depth is not bounded by the recursion
-    limit.
+    smallest-last order, computed once per edge set, and colors in
+    ascending order, and returns the first transversal it meets.  Depth
+    is not bounded by the recursion limit.
     """
     if any(len(cs) == 0 for cs in h.lists):
         return None
@@ -237,11 +274,11 @@ def extend_precoloring(g: PlaneGraph, cover: Cover,
 
     The search fixes the precolored vertices first, in ascending vertex
     order, and then runs as :func:`find_transversal` over the remaining
-    vertices in smallest-last order; a color of an uncolored vertex is
-    pruned exactly when it is matched to a chosen neighbor color.  Raises
-    InconsistentPrecoloring when the given partial assignment already
-    conflicts (wrong list, or a matched pair chosen on an edge), and
-    ValueError a precolored vertex outside 0..n-1.
+    vertices in smallest-last order (computed once per edge set); a color
+    of an uncolored vertex is pruned exactly when it is matched to a chosen
+    neighbor color.  Raises InconsistentPrecoloring when the given partial
+    assignment already conflicts (wrong list, or a matched pair chosen on
+    an edge), and ValueError a precolored vertex outside 0..n-1.
     """
     fixed = pre.as_dict()
     if not all(0 <= v < g.vertex_count for v in fixed):
@@ -260,17 +297,9 @@ def extend_precoloring(g: PlaneGraph, cover: Cover,
 
 @functools.lru_cache(maxsize=8192)  # every permutation for k <= 7
 def _perm_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Kernel tables of permutation ``p`` on an edge (u, v), u < v.
-
-    The first maps a color index of u to the bit it bans at v, the second
-    a color index of v to the bit it bans at u.
-    """
-    fwd = [0] * len(p)
-    inv = [0] * len(p)
-    for i, c in enumerate(p):
-        fwd[i] = 1 << (c - 1)
-        inv[c - 1] = 1 << i
-    return tuple(fwd), tuple(inv)
+    """:func:`_match_tables` of permutation ``p`` of 1..k, keyed by ``p``."""
+    ident = tuple(range(1, len(p) + 1))
+    return _match_tables(tuple(zip(ident, p)), ident, ident)
 
 
 class _PermTables:

@@ -626,14 +626,14 @@ def identify_and_reduce(g: PlaneGraph, center_v: int,
     if common:
         raise CreatesParallelEdge(
             f"{a},{b} share neighbors {sorted(common)} outside the removed set")
-    # a, b share no neighbour outside the removed set, so every 4-cycle
-    # through a, b and the center closes at some x of ``other``
-    closing = [(a, center_v, b, x) for x in other
-               if g.has_edge(a, x) and g.has_edge(b, x)]
-    an = _Analysis(g)
-    for c in sorted(min(_cyclic_min(c), _cyclic_min(c[::-1])) for c in closing):
-        if an.bad_witnesses(c):
-            raise BadFourCyclePresent(f"bad 4-cycle {c}")
+    # a, b share no neighbour outside the removed set, so each 4-cycle
+    # through a, b and the center is (a, center, b, x), x in ``other``, and
+    # only the other y of ``other`` (then of degree >= 4) can see all four:
+    # both cycles close and are bad exactly when x, y are adjacent
+    if g.has_edge(*other) and all(g.has_edge(x, z) for x in other for z in kept):
+        c = min(min(_cyclic_min(c), _cyclic_min(c[::-1]))
+                for c in [(a, center_v, b, x) for x in other])
+        raise BadFourCyclePresent(f"bad 4-cycle {c}")
     touching = {center_v, a, b, *other} & g.outer_vertices()
     if touching:
         raise NotInternal(f"vertices {sorted(touching)} lie on the outer face")

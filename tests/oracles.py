@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from dpcolor.cover import Cover
 from dpcolor.plane_graph import Cycle, PlaneGraph, build_from_rotation
+from dpcolor.solver import Transversal, _degeneracy_order, _search
 from dpcolor.structure import (BadFourCyclePresent, CreatesForbiddenAdjacency,
                                CreatesLoop, CreatesParallelEdge, NotInternal,
                                _Analysis, class_membership)
@@ -377,3 +379,44 @@ def identify_and_reduce_reference(g: PlaneGraph, center_v: int,
     elif mode is not None:
         raise ValueError(f"unknown mode {mode!r}")
     return reduced
+
+
+def search_order_reference(n: int, edges: Iterable[tuple[int, int]],
+                            first: Sequence[int] = ()) -> list[int]:
+    """``first`` as given, then every other vertex in smallest-last order."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    rest = set(range(n)) - set(first)
+    return list(first) + [v for v in _degeneracy_order(n, adj) if v in rest]
+
+
+def cover_search_reference(cover: Cover, edges: Sequence[tuple[int, int]],
+                           fixed: Mapping[int, int]) -> Optional[Transversal]:
+    """The transversal search with no cached tables: it peels the order and
+    builds every edge's table from ``Cover.matching`` on each call."""
+    n = len(cover.lists)
+    order = search_order_reference(n, edges, sorted(fixed))
+    pos = {v: i for i, v in enumerate(order)}
+    colors = [sorted(cover.lists[v]) for v in order]
+    index_of = [{c: i for i, c in enumerate(cs)} for cs in colors]
+    domains = [1 << index_of[i][fixed[v]] if v in fixed
+               else (1 << len(colors[i])) - 1 for i, v in enumerate(order)]
+    constraints: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if pos[u] > pos[v]:
+            u, v = v, u
+        a, b = pos[u], pos[v]
+        table = [0] * len(colors[a])
+        for cu, cv in cover.matching(u, v):
+            if cu in index_of[a] and cv in index_of[b]:
+                table[index_of[a][cu]] = 1 << index_of[b][cv]
+        constraints[b].append((a, table))
+    sol = next(_search(domains, constraints), None)
+    if sol is None:
+        return None
+    out = [0] * n
+    for i, v in enumerate(order):
+        out[v] = colors[i][sol[i]]
+    return Transversal(tuple(out))

@@ -16,12 +16,14 @@ from dpcolor import (BudgetExceeded, CoverError, CoverGraph,
                      find_transversal, full_cover, list_chromatic,
                      random_chooser, straighten,
                      survey_precoloring_extensions, table_chooser)
+from dpcolor.cover import Cover, make_cover
 import dpcolor.solver as solver
 from conftest import (K4_EDGES, PRISM_EDGES, joined_pair, make_cycle,
-                      triangulated_grid)
-from oracles import (choosable_bounded_pool, degeneracy,
-                     degeneracy_order_quadratic, greedy_extension_order_scan,
-                     has_transversal_brute)
+                      relabel, triangulated_grid)
+from oracles import (choosable_bounded_pool, cover_search_reference,
+                     degeneracy, degeneracy_order_quadratic,
+                     greedy_extension_order_scan, has_transversal_brute,
+                     search_order_reference)
 
 
 def _check_transversal(h: CoverGraph, t) -> None:
@@ -510,3 +512,74 @@ def test_dp_colorable_rechecks_counterexample(c4, monkeypatch):
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(solver.SolverError):
             dp_colorable(c4, 2, mode, samples=200, seed=3)
+
+
+def _seeded_cover(g, k, rng):
+    return full_cover(g, k, random_chooser(rng.randrange(10 ** 6)))
+
+
+def _partial_cover(g, k, rng):
+    """A k-cover of ``g`` with about a third of its matched pairs dropped."""
+    full = _seeded_cover(g, k, rng)
+    return make_cover(g, full.lists, {
+        e: [p for p in pairs if rng.random() < 0.7]
+        for e, pairs in full.matchings.items()})
+
+
+def _uneven_cover(g, k, rng):
+    """Lists of 1..k colors out of 1..k+2 and random partial matchings."""
+    lists = [rng.sample(range(1, k + 3), rng.randint(1, k))
+             for _ in range(g.vertex_count)]
+    matchings = {}
+    for u, v in g.edges():
+        lu, lv = rng.sample(lists[u], len(lists[u])), lists[v]
+        matchings[(u, v)] = [p for p in zip(lu, lv) if rng.random() < 0.8]
+    return make_cover(g, lists, matchings)
+
+
+def _two_fixed(g, cover, rng):
+    """Two vertices precolored from their lists, consistently."""
+    u, v = rng.sample(range(g.vertex_count), 2)
+    cu = rng.choice(cover.lists[u])
+    ok = [c for c in cover.lists[v] if cover.matched_color(u, cu, v) != c]
+    return Precoloring.of({u: cu, v: rng.choice(ok)} if ok else {u: cu})
+
+
+def _assert_matches_reference(g, cover, rng):
+    h = cover_graph(g, cover)
+    assert find_transversal(h) == cover_search_reference(h, h.graph_edges, {})
+    pre = _two_fixed(g, cover, rng)
+    assert extend_precoloring(g, cover, pre) \
+        == cover_search_reference(cover, g.edges(), pre.as_dict())
+    # fixed vertices in smallest-last places find the same first solution,
+    # only later, so the orders are compared as well
+    first = sorted(pre.as_dict())
+    assert solver._search_order(g.vertex_count, g.edges(), first) \
+        == search_order_reference(g.vertex_count, g.edges(), first)
+
+
+def test_cover_search_matches_reference(corpus_n6):
+    # the cached orders and tables give the uncached search's transversals,
+    # also on covers built directly with lists for tuples
+    rng = random.Random(27)
+    for k in range(2, 6):
+        for g in corpus_n6:
+            for build in (_seeded_cover, _partial_cover, _uneven_cover):
+                _assert_matches_reference(g, build(g, k, rng), rng)
+    for seed in range(3):
+        g = relabel(triangulated_grid(10), seed)
+        _assert_matches_reference(
+            g, full_cover(g, 5, random_chooser(seed)), rng)
+    direct = Cover([[1, 2, 3], [2, 3], [1, 3, 4]],
+                   {(0, 1): [(1, 2), (2, 3)], (1, 2): [(3, 1)],
+                    (0, 2): [(3, 3), (1, 4)]})
+    for fixed in ({}, {2: 3}, {0: 2, 1: 3}):
+        assert solver._cover_search(direct, direct.graph_edges, fixed) \
+            == cover_search_reference(direct, direct.graph_edges, fixed)
+    # equal n, different edges: the second graph must not reuse the first
+    # one's order (star 0-1, 0-2, 0-3, then a triangle with a pendant)
+    for edges in ([(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2), (0, 3), (1, 2)]):
+        g = embed_planar(4, edges)
+        h = cover_graph(g, full_cover(g, 3))
+        assert find_transversal(h) == cover_search_reference(
+            h, h.graph_edges, {})

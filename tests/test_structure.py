@@ -233,17 +233,13 @@ def test_identify_validates_kept_pair(w4):
 
 
 def test_identify_not_internal():
-    g = _grid_patch()
-    rot = g.neighbors(1)
-    # center on the ring: its neighborhood touches the outer octagon
-    if g.degree(1) == 4:
-        with pytest.raises(NotInternal):
-            kept = (rot[0], rot[2])
-            a, b = sorted(kept)
-            if not g.has_edge(a, b):
-                identify_and_reduce(g, 1, kept, mode=None)
-            else:
-                raise NotInternal("kept pair adjacent; equivalent refusal")
+    # (1, 1) of the 6 x 6 square grid: the kept pair (0, 1), (2, 1) shares
+    # only the center and closes no 4-cycle, but (0, 1) and (1, 0) lie on
+    # the outer face
+    g = square_grid(6)
+    assert sorted(g.neighbors(7)) == [1, 6, 8, 13]
+    with pytest.raises(NotInternal, match=r"vertices \[1, 6\] lie on the outer"):
+        identify_and_reduce(g, 7, (6, 8), mode=None)
 
 
 def test_identify_bad_four_cycle():
