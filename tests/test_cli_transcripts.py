@@ -59,6 +59,10 @@ CASES = {
                          "--colors", "1,2,1,2,3", "--k", "3"],
     "extend-prism-triangle": ["extend", "prism.rot", "--cycle", "0,1,2",
                               "--colors", "1,2,3", "--k", "3"],
+    "extend-wheel-triangle-hub": ["extend", "wheel5.pc", "--cycle", "0,1,2",
+                                  "--colors", "1,2,3", "--k", "3"],
+    "extend-wheel-equal-pair": ["extend", "wheel5.pc", "--cycle", "1,3",
+                                "--colors", "1,1", "--k", "3"],
     "extend-octahedron-sampled": ["extend", "octahedron.g6", "--cycle",
                                   "0,1,2", "--colors", "1,2,3", "--k", "4",
                                   "--samples", "20", "--seed", "1"],
