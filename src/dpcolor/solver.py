@@ -12,6 +12,7 @@ since such a renaming maps transversals to transversals bijectively.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -890,25 +891,69 @@ def _lifted_failure(g: PlaneGraph, cyc: tuple[int, ...], k: int,
 
 def _extension_counts(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
                       seed: int) -> tuple[int, int, int]:
-    """Covers swept, those under which ``pre`` (colors in 1..k) is valid,
-    and those where it does not extend.
+    """Covers, those under which ``pre`` (colors in 1..k) is valid, and
+    those where it does not extend.
 
-    ``samples == 0`` sweeps the full stream, not the canonical one: a fixed
-    precoloring breaks the common-renaming symmetry.
+    Sampled mode sweeps seeded covers.  Exhaustive mode counts exactly the
+    (k!)**β covers of the full stream of :class:`_CoverSweep`, which
+    :data:`DEFAULT_COVER_BUDGET` bounds: identity on the BFS tree T of G,
+    any permutation on each non-tree edge.  For P the precolored vertices,
+    φ their colors and m the non-tree edges in P: valid = (k!)**(β-m) * A,
+    A = 0 if a tree edge in P joins equal colors, else (k! - (k-1)!)**m;
+    extends = A * prod N_R over the components R of G - P, N_R the choices
+    leaving R colorable of a banned color (weight (k-1)!) per non-tree P-R
+    edge and a permutation per non-tree edge in R, a tree edge uv banning
+    φ(u) at v.  T serves every R, as T may join P through R and BFS trees
+    per R straighten other edges.  No search runs when the peel of
+    :func:`greedy_extension_order` empties G - P.
     """
     sweep = _CoverSweep(g, k)
     if not samples and sweep.total_covers > DEFAULT_COVER_BUDGET:
         raise BudgetExceeded(f"{sweep.total_covers} covers exceed budget "
                              f"{DEFAULT_COVER_BUDGET}")
-    stream = sweep.stream("sampled" if samples else "full", samples, seed)
-    checked = valid = failures = 0
-    for _, results in _extension_sweep(g, k, [v for v, _ in pre.items],
-                                       [1 << (c - 1) for _, c in pre.items],
-                                       stream):
-        checked += 1
-        valid += len(results)
-        failures += sum(not extends for _, extends in results)
-    return checked, valid, failures
+    fixed = pre.as_dict()
+    if samples:
+        results = [ok for _, per_cover in _extension_sweep(
+            g, k, list(fixed), [1 << (c - 1) for c in fixed.values()],
+            sweep.stream("sampled", samples, seed)) for _, ok in per_cover]
+        return samples, len(results), results.count(False)
+    n, fact = g.vertex_count, math.factorial(k)
+    non_tree = {sweep.edges[i] for i in sweep.non_tree}
+    a_p, rest = 1, len(non_tree)  # rest: the non-tree edges outside P
+    banned, loose = [0] * n, [0] * n  # tree bans, non-tree edges from P
+    for u, v in sweep.edges:
+        free = (u, v) in non_tree
+        if u in fixed and v in fixed:
+            rest -= free
+            a_p *= fact - fact // k if free else fixed[u] != fixed[v]
+        elif u in fixed or v in fixed:
+            p, r = (u, v) if u in fixed else (v, u)
+            loose[r] += free
+            banned[r] |= 0 if free else 1 << (fixed[p] - 1)
+    valid = a_p * fact ** rest
+    if not a_p or greedy_extension_order(g, list(fixed), k) is not None:
+        return sweep.total_covers, valid, 0
+    extends = a_p * (fact // k) ** sum(loose)
+    for comp in _components(g._adj, frozenset(range(n)) - fixed.keys()):
+        verts = [v for v in _search_order(n, sweep.edges) if v in comp]
+        edges = [e for e in sweep.edges if comp.issuperset(e)]
+        permuted = [i for i, e in enumerate(edges) if e in non_tree]
+        opens = [collections.Counter(  # per vertex: open colors -> picks
+            (1 << k) - 1 & ~(banned[v] | sum({1 << c for c in picks}))
+            for picks in itertools.product(range(k), repeat=loose[v])).items()
+            for v in verts]
+        configs = [(tuple(m for m, _ in ch), math.prod(c for _, c in ch))
+                   for ch in itertools.product(*opens)]
+        tables, count = _PermTables(verts, edges), 0
+        perms = [tuple(range(1, k + 1))] * len(edges)
+        for t in itertools.product(sweep.perms, repeat=len(permuted)):
+            for i, perm in zip(permuted, t):
+                perms[i] = perm
+            tables.load(perms)
+            count += sum(w for ds, w in configs
+                         if any(_search(ds, tables.constraints)))
+        extends *= count
+    return sweep.total_covers, valid, valid - extends
 
 
 def greedy_extension_order(g: PlaneGraph, cycle: Sequence[int],

@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from dpcolor.cover import Cover
+from dpcolor.cover import Cover, _CoverSweep
 from dpcolor.plane_graph import Cycle, PlaneGraph, build_from_rotation
-from dpcolor.solver import Transversal, _degeneracy_order, _search
+from dpcolor.solver import (DEFAULT_COVER_BUDGET, BudgetExceeded, Precoloring,
+                            Transversal, _degeneracy_order, _extension_sweep,
+                            _search)
 from dpcolor.structure import (BadFourCyclePresent, CreatesForbiddenAdjacency,
                                CreatesLoop, CreatesParallelEdge, NotInternal,
                                _Analysis, class_membership)
@@ -420,3 +422,26 @@ def cover_search_reference(cover: Cover, edges: Sequence[tuple[int, int]],
     for i, v in enumerate(order):
         out[v] = colors[i][sol[i]]
     return Transversal(tuple(out))
+
+
+def extension_counts_sweep(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
+                           seed: int) -> tuple[int, int, int]:
+    """Covers swept, those under which ``pre`` (colors in 1..k) is valid,
+    and those where it does not extend.
+
+    ``samples == 0`` sweeps the full stream, not the canonical one: a fixed
+    precoloring breaks the common-renaming symmetry.
+    """
+    sweep = _CoverSweep(g, k)
+    if not samples and sweep.total_covers > DEFAULT_COVER_BUDGET:
+        raise BudgetExceeded(f"{sweep.total_covers} covers exceed budget "
+                             f"{DEFAULT_COVER_BUDGET}")
+    stream = sweep.stream("sampled" if samples else "full", samples, seed)
+    checked = valid = failures = 0
+    for _, results in _extension_sweep(g, k, [v for v, _ in pre.items],
+                                       [1 << (c - 1) for _, c in pre.items],
+                                       stream):
+        checked += 1
+        valid += len(results)
+        failures += sum(not extends for _, extends in results)
+    return checked, valid, failures

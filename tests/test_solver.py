@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -12,8 +13,9 @@ from dpcolor import (BudgetExceeded, CoverError, CoverGraph,
                      InconsistentPrecoloring,
                      Precoloring, bfs_tree_edges, build_from_rotation,
                      chromatic, cover_graph, diagonal_cover, dp_chromatic,
-                     dp_colorable, embed_planar, extend_precoloring,
-                     find_transversal, full_cover, list_chromatic,
+                     dp_colorable, embed_planar, enumerate_cycles,
+                     extend_precoloring, find_transversal, full_cover,
+                     greedy_extension_order, list_chromatic,
                      random_chooser, straighten,
                      survey_precoloring_extensions, table_chooser)
 from dpcolor.cover import Cover, make_cover
@@ -22,8 +24,8 @@ from conftest import (K4_EDGES, PRISM_EDGES, joined_pair, make_cycle,
                       relabel, triangulated_grid)
 from oracles import (choosable_bounded_pool, cover_search_reference,
                      degeneracy, degeneracy_order_quadratic,
-                     greedy_extension_order_scan, has_transversal_brute,
-                     search_order_reference)
+                     extension_counts_sweep, greedy_extension_order_scan,
+                     has_transversal_brute, search_order_reference)
 
 
 def _check_transversal(h: CoverGraph, t) -> None:
@@ -583,3 +585,38 @@ def test_cover_search_matches_reference(corpus_n6):
         h = cover_graph(g, full_cover(g, 3))
         assert find_transversal(h) == cover_search_reference(
             h, h.graph_edges, {})
+
+
+def test_extension_counts_match_the_sweep(corpus_n6):
+    # the exact count of covers, valid covers and failures equals the
+    # sweep of every cover, on every graph whose full stream has at most
+    # 6**4 covers: k = 2 throughout, k = 3 up to beta = 4, k = 4 up to 2
+    rng = random.Random(28)
+    kinds = set()
+    for g in corpus_n6:
+        n = g.vertex_count
+        beta = g.edge_count - n + 1
+        apart = [p for p in itertools.combinations(range(n), 2)
+                 if not g.has_edge(*p)]
+        for k in (2, 3, 4):
+            if math.factorial(k) ** beta > 6 ** 4:
+                continue
+            sets = [c.vertices for c in enumerate_cycles(g, 4)[:2]]
+            sets.append((rng.randrange(n),))
+            sets += [rng.choice(apart)] if apart else []
+            for vs in sets:
+                # seeded colors, often equal on adjacent vertices
+                pre = Precoloring.of({v: rng.randint(1, k) for v in vs})
+                counts = solver._extension_counts(g, pre, k, 0, 0)
+                assert counts == extension_counts_sweep(g, pre, k, 0, 0), \
+                    (g.edges(), pre, k)
+                if not counts[1]:
+                    kinds.add("vacuous")
+                elif counts[2]:
+                    kinds.add("failures")
+                elif greedy_extension_order(g, vs, k) is not None:
+                    kinds.add("peeled")
+                else:
+                    kinds.add("searched, none failing")
+    assert kinds == {"vacuous", "failures", "peeled",
+                     "searched, none failing"}
