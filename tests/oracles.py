@@ -424,8 +424,8 @@ def cover_search_reference(cover: Cover, edges: Sequence[tuple[int, int]],
     return Transversal(tuple(out))
 
 
-def extension_counts_sweep(g: PlaneGraph, pre: Precoloring, k: int, samples: int,
-                           seed: int) -> tuple[int, int, int]:
+def extension_counts_sweep(g: PlaneGraph, pre: Precoloring, k: int,
+                           samples: int, seed: int) -> tuple[int, int, int]:
     """Covers swept, those under which ``pre`` (colors in 1..k) is valid,
     and those where it does not extend.
 

@@ -610,6 +610,9 @@ def test_extension_counts_match_the_sweep(corpus_n6):
                 counts = solver._extension_counts(g, pre, k, 0, 0)
                 assert counts == extension_counts_sweep(g, pre, k, 0, 0), \
                     (g.edges(), pre, k)
+                # sampled mode still sweeps its seeded covers one by one
+                assert solver._extension_counts(g, pre, k, 3, k) \
+                    == extension_counts_sweep(g, pre, k, 3, k)
                 if not counts[1]:
                     kinds.add("vacuous")
                 elif counts[2]:
